@@ -380,14 +380,14 @@ def check_growth_sandwich(tup: ParameterTuple, table: GrowthTable) -> Verificati
         rep.check(
             "sandwich-upper",
             total <= upper,
-            witness=f"total={total} exceeds {upper}",
+            witness=lambda: f"total={total} exceeds {upper}",
             m=m,
             n=n,
         )
         rep.check(
             "sandwich-lower",
             total * p3s >= lower_rhs,
-            witness=f"total={total} * p^(3 sigma) below p^(sigma n)={lower_rhs}",
+            witness=lambda: f"total={total} * p^(3 sigma) below p^(sigma n)={lower_rhs}",
             m=m,
             n=n,
         )
@@ -459,7 +459,7 @@ def check_quasilinear_bounds(
         rep.check(
             "quasilinear-upper",
             second + power_second <= upper,
-            witness=f"count={second + power_second} exceeds {upper}",
+            witness=lambda: f"count={second + power_second} exceeds {upper}",
             m=m,
             n=n,
         )
@@ -468,7 +468,7 @@ def check_quasilinear_bounds(
         rep.check(
             "quasilinear-f1",
             f1 <= f1_bound,
-            witness=f"length-{n + 1} count {f1} exceeds {f1_bound}",
+            witness=lambda: f"length-{n + 1} count {f1} exceeds {f1_bound}",
             m=m,
             n=n,
         )
@@ -477,7 +477,7 @@ def check_quasilinear_bounds(
         rep.check(
             "quasilinear-lower",
             ok,
-            witness=f"count={second} * theta_lo below {target}",
+            witness=lambda: f"count={second} * theta_lo below {target}",
             m=m,
             n=n,
         )
@@ -502,7 +502,7 @@ def check_cubic_bounds(tup: ParameterTuple, weights) -> VerificationReport:
         rep.check(
             "cubic-f1",
             f1 < cube,
-            witness=f"length-{n + 1} count {f1} not below {cube}",
+            witness=lambda: f"length-{n + 1} count {f1} not below {cube}",
             m=m,
             n=n,
         )
@@ -510,7 +510,7 @@ def check_cubic_bounds(tup: ParameterTuple, weights) -> VerificationReport:
         rep.check(
             "cubic-f2",
             f2 <= 3 * cube,
-            witness=f"length-{n} count {f2} exceeds {3 * cube}",
+            witness=lambda: f"length-{n} count {f2} exceeds {3 * cube}",
             m=m,
             n=n,
         )
@@ -518,7 +518,7 @@ def check_cubic_bounds(tup: ParameterTuple, weights) -> VerificationReport:
         rep.check(
             "cubic-f3",
             shorter <= 2 * cube,
-            witness=f"shorter-length total {shorter} exceeds {2 * cube}",
+            witness=lambda: f"shorter-length total {shorter} exceeds {2 * cube}",
             m=m,
             n=n,
         )

@@ -8,14 +8,16 @@ that bound the truncated model is a faithful image of the full algebra, so
 equalities proved here are equalities of the real object.
 
 Suites return VerificationReport values: every check is pass / fail /
-outside-trusted-zone, failures carry a rendered witness, and reports are
-deterministic (byte-identical across runs).
+outside-trusted-zone, failures carry a witness that is rendered only when the
+check fails, and reports are deterministic (byte-identical across runs).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .params import ParameterTuple
@@ -27,6 +29,7 @@ from .derivations import (
     p_power,
     p_power_iter,
     pivot,
+    pivot_power,
 )
 from .monomials import (
     MonomialDescriptor,
@@ -90,8 +93,14 @@ class VerificationReport:
             )
         )
 
-    def check(self, check_id: str, ok: bool, witness: str = "", **params):
-        self.add(check_id, "pass" if ok else "fail", witness if not ok else None, **params)
+    def check(self, check_id: str, ok: bool, witness: Callable[[], str] = str, **params):
+        """Record a pass, or a fail with the string that ``witness()`` renders.
+
+        The witness is a zero-argument callable, called only when ``ok`` is
+        false, so passing checks never render their operands.  The default
+        renders the empty string.
+        """
+        self.add(check_id, "pass" if ok else "fail", None if ok else witness(), **params)
 
     @property
     def passed(self) -> bool:
@@ -221,8 +230,8 @@ class GradedBasis:
         self.ctx = ctx
         self.cap = cap
         self.components: dict[tuple[int, int, int], _Echelon] = {}
-        # insertion-ordered: (multidegree, canonical reduced vector, word)
-        self.vectors: list[tuple[tuple[int, int, int], Derivation, str]] = []
+        # insertion-ordered: (multidegree, canonical reduced vector)
+        self.vectors: list[tuple[tuple[int, int, int], Derivation]] = []
 
     def _echelon(self, md) -> _Echelon:
         ech = self.components.get(md)
@@ -230,11 +239,11 @@ class GradedBasis:
             ech = self.components[md] = _Echelon(self.ctx.p)
         return ech
 
-    def insert(self, md, D: Derivation, word: str) -> bool:
+    def insert(self, md, D: Derivation) -> bool:
         row = self._echelon(md).insert(_derivation_to_vec(D))
         if row is None:
             return False
-        self.vectors.append((md, _vec_to_derivation(self.ctx, row), word))
+        self.vectors.append((md, _vec_to_derivation(self.ctx, row)))
         return True
 
     def dims_by_multidegree(self) -> dict[tuple[int, int, int], int]:
@@ -258,9 +267,6 @@ class GradedBasis:
                 return False
         return True
 
-    def provenance(self) -> list[tuple[tuple[int, int, int], str]]:
-        return [(md, word) for md, _row, word in self.vectors]
-
 
 def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedBasis:
     """Close the span of the generators under bracket and p-th power.
@@ -268,6 +274,10 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
     Brackets are scheduled while the operands' weights sum to at most the
     cap; p-th powers while p times the weight stays within the cap.  The
     cap must not exceed the trusted weight bound of the generators' context.
+
+    Every call builds a new basis; nothing is cached here.  The basis and
+    grading suites and the nil sampler instead share one closure of the
+    standard generators per (tuple, depth) and treat it as read-only.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -283,14 +293,14 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
         )
     p = ctx.p
     basis = GradedBasis(ctx, weight_cap)
-    pending: list[tuple] = []  # ("vec", md, D, word) | ("bracket", i, j) | ("power", i)
+    pending: list[tuple] = []  # ("bracket", i, j) | ("power", i)
 
-    def admit(D: Derivation, word: str):
+    def admit(D: Derivation):
         for md, part in D.graded_components().items():
             wt = sum(md)
             if wt > weight_cap:
                 continue
-            if basis.insert(md, part, word):
+            if basis.insert(md, part):
                 j = len(basis.vectors) - 1
                 for i in range(j + 1):
                     wi = sum(basis.vectors[i][0])
@@ -299,8 +309,8 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
                 if p * wt <= weight_cap:
                     pending.append(("power", j))
 
-    for idx, g in enumerate(generators):
-        admit(g, f"g{idx}")
+    for g in generators:
+        admit(g)
 
     cursor = 0
     while cursor < len(pending):
@@ -308,17 +318,13 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
         cursor += 1
         if task[0] == "bracket":
             _, i, j = task
-            mdi, bi, wi = basis.vectors[i]
-            mdj, bj, wj = basis.vectors[j]
-            res = bracket(bi, bj)
+            res = bracket(basis.vectors[i][1], basis.vectors[j][1])
             if not res.is_zero():
-                admit(res, f"[{wi},{wj}]")
+                admit(res)
         else:
-            _, i = task
-            _md, b, w = basis.vectors[i]
-            res = p_power(b)
+            res = p_power(basis.vectors[task[1]][1])
             if not res.is_zero():
-                admit(res, f"({w})^[p]")
+                admit(res)
     return basis
 
 
@@ -326,29 +332,18 @@ def _standard_generators(ctx: DpContext) -> list[Derivation]:
     return [pivot(ctx, "v", 0), pivot(ctx, "w", 0), pivot(ctx, "u", 0)]
 
 
+@functools.lru_cache(maxsize=1)
+def _standard_closure(tup: ParameterTuple, depth: int) -> GradedBasis:
+    """Closure of the generation-0 pivots up to the trusted weight bound.
+
+    One closure serves every suite of a run on the same (tuple, depth).
+    The basis is shared, so callers must treat it as read-only.
+    """
+    ctx = DpContext(tup, depth)
+    return restricted_closure(_standard_generators(ctx), tup.trusted_weight_bound(depth))
+
+
 # -- relation suite -----------------------------------------------------------------
-
-
-def _axis_of(kind: str) -> int:
-    return "vwu".index(kind)
-
-
-def _power_rhs(ctx: DpContext, kind: str, i: int, m: int) -> Derivation:
-    """Closed form of the generation-i pivot raised to the p^m-th power."""
-    p = ctx.p
-    S, R = ctx.tup.materialize(i)
-    level_bound = S if kind == "v" else R
-    res = Derivation.zero(ctx)
-    if m < level_bound:
-        res = res + Derivation.shift(ctx, (i, _axis_of(kind)), m)
-    if kind == "v":
-        exps = {(i, 0): p**S - p**m, (i, 1): p**R - 1}
-    elif kind == "w":
-        exps = {(i, 1): p**R - p**m, (i, 0): p**S - 1}
-    else:
-        exps = {(i, 2): p**R - p**m, (i, 0): p**S - 1}
-    exps = {v: e for v, e in exps.items() if e}
-    return res + pivot(ctx, kind, i + 1).lmul(AlgebraElement.monomial(ctx, exps))
 
 
 def _mono(ctx: DpContext, exps: dict) -> AlgebraElement:
@@ -377,11 +372,11 @@ def relation_suite(
             P0 = pivot(ctx, kind, i)
             cur = P0
             for m in range(0, top + 1):
-                rhs = _power_rhs(ctx, kind, i, m)
+                rhs = pivot_power(ctx, kind, i, m)
                 rep.check(
                     "power-ladder",
                     cur == rhs,
-                    witness=f"lhs={cur} rhs={rhs}",
+                    witness=lambda: f"lhs={cur} rhs={rhs}",
                     kind=kind,
                     i=i,
                     m=m,
@@ -396,69 +391,33 @@ def relation_suite(
         vS = p_power_iter(v_i, S)
         wR = p_power_iter(w_i, R)
         uR = p_power_iter(u_i, R)
-        rep.check(
-            "power-top",
-            vS == v_n.lmul(_mono(ctx, {(i, 1): p**R - 1})),
-            witness=f"lhs={vS}",
-            kind="v",
-            i=i,
-        )
-        rep.check(
-            "power-top",
-            wR == w_n.lmul(_mono(ctx, {(i, 0): p**S - 1})),
-            witness=f"lhs={wR}",
-            kind="w",
-            i=i,
-        )
-        rep.check(
-            "power-top",
-            uR == u_n.lmul(_mono(ctx, {(i, 0): p**S - 1})),
-            witness=f"lhs={uR}",
-            kind="u",
-            i=i,
-        )
-        rep.check(
-            "regenerate-next",
-            ad_power(w_i, vS, p**R - 1) == v_n,
-            witness="",
-            kind="v",
-            i=i,
-        )
-        rep.check(
-            "regenerate-next",
-            ad_power(v_i, wR, p**S - 1) == w_n,
-            witness="",
-            kind="w",
-            i=i,
-        )
-        rep.check(
-            "regenerate-next",
-            ad_power(v_i, uR, p**S - 1) == u_n,
-            witness="",
-            kind="u",
-            i=i,
-        )
+        for kind, top, lhs in (("v", S, vS), ("w", R, wR), ("u", R, uR)):
+            rep.check(
+                "power-top",
+                lhs == pivot_power(ctx, kind, i, top),
+                witness=lambda: f"lhs={lhs}",
+                kind=kind,
+                i=i,
+            )
+        rep.check("regenerate-next", ad_power(w_i, vS, p**R - 1) == v_n, kind="v", i=i)
+        rep.check("regenerate-next", ad_power(v_i, wR, p**S - 1) == w_n, kind="w", i=i)
+        rep.check("regenerate-next", ad_power(v_i, uR, p**S - 1) == u_n, kind="u", i=i)
         h_next = bracket(w_i, v_i)
         h_rhs = v_n.lmul(_mono(ctx, {(i, 0): p**S - 1, (i, 1): p**R - 2})) - w_n.lmul(
             _mono(ctx, {(i, 0): p**S - 2, (i, 1): p**R - 1})
         )
         rep.check(
-            "bracket-pair", h_next == h_rhs, witness=f"lhs={h_next} rhs={h_rhs}",
+            "bracket-pair", h_next == h_rhs, witness=lambda: f"lhs={h_next} rhs={h_rhs}",
             pair="wv", i=i,
         )
         g_next = bracket(v_i, u_i)
         g_rhs = u_n.lmul(_mono(ctx, {(i, 0): p**S - 2, (i, 2): p**R - 1}))
         rep.check(
-            "bracket-pair", g_next == g_rhs, witness=f"lhs={g_next} rhs={g_rhs}",
+            "bracket-pair", g_next == g_rhs, witness=lambda: f"lhs={g_next} rhs={g_rhs}",
             pair="vu", i=i,
         )
-        rep.check(
-            "bracket-pair",
-            bracket(w_i, u_i).is_zero(),
-            witness=f"lhs={bracket(w_i, u_i)}",
-            pair="wu",
-            i=i,
-        )
+        wu = bracket(w_i, u_i)
+        rep.check("bracket-pair", wu.is_zero(), witness=lambda: f"lhs={wu}", pair="wu", i=i)
         # head grid of the first family: iterated ad-actions vs closed forms
         for xi in range(p**S):
             for eta in range(p**R):
@@ -478,7 +437,7 @@ def relation_suite(
                 rep.check(
                     "head-grid-first",
                     lhs == rhs,
-                    witness=f"lhs={lhs} rhs={rhs}",
+                    witness=lambda: f"lhs={lhs} rhs={rhs}",
                     i=i,
                     xi=xi,
                     eta=eta,
@@ -486,7 +445,7 @@ def relation_suite(
                 rep.check(
                     "head-grid-order",
                     lhs == swapped,
-                    witness=f"vw-first={lhs} wv-first={swapped}",
+                    witness=lambda: f"vw-first={lhs} wv-first={swapped}",
                     i=i,
                     xi=xi,
                     eta=eta,
@@ -501,7 +460,7 @@ def relation_suite(
                 rep.check(
                     "head-grid-second",
                     lhs == rhs,
-                    witness=f"lhs={lhs} rhs={rhs}",
+                    witness=lambda: f"lhs={lhs} rhs={rhs}",
                     i=i,
                     xi=xi,
                     zeta=zeta,
@@ -533,19 +492,19 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     """
     if depth < 3:
         raise ValueError("basis verification requires depth >= 3")
-    ctx = DpContext(tup, depth)
-    cap = tup.trusted_weight_bound(depth)
+    basis = _standard_closure(tup, depth)
+    ctx, cap = basis.ctx, basis.cap
     rep = VerificationReport(suite="basis")
-    basis = restricted_closure(_standard_generators(ctx), cap)
     by_md = _group_descriptors(tup, cap)
 
     closure_dims = basis.dims_by_multidegree()
     pred_dims = {md: len(ds) for md, ds in sorted(by_md.items())}
     for md in sorted(set(closure_dims) | set(pred_dims)):
+        got, want = closure_dims.get(md, 0), pred_dims.get(md, 0)
         rep.check(
             "dimension-multidegree",
-            closure_dims.get(md, 0) == pred_dims.get(md, 0),
-            witness=f"closure={closure_dims.get(md, 0)} descriptors={pred_dims.get(md, 0)}",
+            got == want,
+            witness=lambda: f"closure={got} descriptors={want}",
             multidegree=md,
         )
     wt_closure: dict[int, int] = basis.dims_by_weight()
@@ -553,59 +512,49 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     for md, ds in by_md.items():
         wt_pred[sum(md)] = wt_pred.get(sum(md), 0) + len(ds)
     for m in range(1, cap + 1):
+        got, want = wt_closure.get(m, 0), wt_pred.get(m, 0)
         rep.check(
             "dimension-weight",
-            wt_closure.get(m, 0) == wt_pred.get(m, 0),
-            witness=f"closure={wt_closure.get(m, 0)} descriptors={wt_pred.get(m, 0)}",
+            got == want,
+            witness=lambda: f"closure={got} descriptors={want}",
             weight=m,
         )
 
-    realized: dict[tuple[int, int, int], list[tuple[MonomialDescriptor, Derivation]]]
-    realized = {}
     indep = _Echelon(tup.p)
     indep_ok = True
-    first_span: dict[tuple[int, int, int], _Echelon] = {}
-    second_span: dict[tuple[int, int, int], _Echelon] = {}
+    first_span, second_span = GradedBasis(ctx, cap), GradedBasis(ctx, cap)
     first_vecs: list[tuple[tuple[int, int, int], Derivation]] = []
     second_vecs: list[tuple[tuple[int, int, int], Derivation]] = []
     for md in sorted(by_md):
         for d in by_md[md]:
             D = realize(d, ctx)
-            realized.setdefault(md, []).append((d, D))
             rep.check(
                 "realize-membership",
                 basis.member(D),
-                witness=f"descriptor={d} element={D}",
+                witness=lambda: f"descriptor={d} element={D}",
                 descriptor=str(d),
             )
             actual = D.multidegree()
             rep.check(
                 "realize-multidegree",
                 actual == md,
-                witness=f"descriptor={d} predicted={md} actual={actual}",
+                witness=lambda: f"descriptor={d} predicted={md} actual={actual}",
                 descriptor=str(d),
             )
             if indep.insert(_derivation_to_vec(D)) is None:
                 indep_ok = False
                 rep.check(
                     "realize-independence", False,
-                    witness=f"dependent descriptor {d}", descriptor=str(d),
+                    witness=lambda: f"dependent descriptor {d}", descriptor=str(d),
                 )
             if d.family in ("first", "power_v", "power_w"):
-                first_span.setdefault(md, _Echelon(tup.p)).insert(_derivation_to_vec(D))
+                first_span.insert(md, D)
                 first_vecs.append((md, D))
             else:
-                second_span.setdefault(md, _Echelon(tup.p)).insert(_derivation_to_vec(D))
+                second_span.insert(md, D)
                 second_vecs.append((md, D))
     if indep_ok:
         rep.check("realize-independence", True, count=sum(map(len, by_md.values())))
-
-    def in_span(span: dict, D: Derivation) -> bool:
-        for md, part in D.graded_components().items():
-            ech = span.get(md)
-            if ech is None or not ech.member(_derivation_to_vec(part)):
-                return False
-        return True
 
     p = tup.p
     for i, (mdi, Di) in enumerate(first_vecs):
@@ -615,37 +564,34 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             res = bracket(Di, Dj)
             rep.check(
                 "subalgebra-first",
-                res.is_zero() or in_span(first_span, res),
-                witness=f"[{Di},{Dj}]={res}",
+                first_span.member(res),
+                witness=lambda: f"[{Di},{Dj}]={res}",
                 weights=(sum(mdi), sum(mdj)),
             )
         if p * sum(mdi) <= cap:
-            res = p_power(Di)
             rep.check(
                 "subalgebra-first-power",
-                res.is_zero() or in_span(first_span, res),
-                witness=f"power of {Di}",
+                first_span.member(p_power(Di)),
+                witness=lambda: f"power of {Di}",
                 weight=sum(mdi),
             )
-    all_vecs = first_vecs + second_vecs
-    for mdi, Di in all_vecs:
+    for mdi, Di in first_vecs + second_vecs:
         for mdj, Dj in second_vecs:
             if sum(mdi) + sum(mdj) > cap:
                 continue
             res = bracket(Di, Dj)
             rep.check(
                 "ideal-second",
-                res.is_zero() or in_span(second_span, res),
-                witness=f"[{Di},{Dj}]={res}",
+                second_span.member(res),
+                witness=lambda: f"[{Di},{Dj}]={res}",
                 weights=(sum(mdi), sum(mdj)),
             )
     for mdj, Dj in second_vecs:
         if p * sum(mdj) <= cap:
-            res = p_power(Dj)
             rep.check(
                 "ideal-second-power",
-                res.is_zero() or in_span(second_span, res),
-                witness=f"power of {Dj}",
+                second_span.member(p_power(Dj)),
+                witness=lambda: f"power of {Dj}",
                 weight=sum(mdj),
             )
     return rep
@@ -655,15 +601,14 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
     """Brackets and p-powers of graded basis vectors land where predicted."""
     if depth < 2:
         raise ValueError("grading verification requires depth >= 2")
-    ctx = DpContext(tup, depth)
-    cap = tup.trusted_weight_bound(depth)
+    basis = _standard_closure(tup, depth)
+    cap = basis.cap
     rep = VerificationReport(suite="grading")
-    basis = restricted_closure(_standard_generators(ctx), cap)
     vecs = basis.vectors
     p = tup.p
-    for i, (mdi, Di, _wi) in enumerate(vecs):
+    for i, (mdi, Di) in enumerate(vecs):
         for j in range(i, len(vecs)):
-            mdj, Dj, _wj = vecs[j]
+            mdj, Dj = vecs[j]
             target = (mdi[0] + mdj[0], mdi[1] + mdj[1], mdi[2] + mdj[2])
             if sum(target) > cap:
                 continue
@@ -672,17 +617,14 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
                 rep.check("bracket-grading", True, i=i, j=j)
                 continue
             comps = res.graded_components()
-            ok = set(comps) == {target}
-            ech = basis.components.get(target)
-            ok = ok and ech is not None and ech.member(_derivation_to_vec(res))
             rep.check(
                 "bracket-grading",
-                ok,
-                witness=f"components={sorted(comps)} expected={target}",
+                set(comps) == {target} and basis.member(res),
+                witness=lambda: f"components={sorted(comps)} expected={target}",
                 i=i,
                 j=j,
             )
-    for i, (mdi, Di, _wi) in enumerate(vecs):
+    for i, (mdi, Di) in enumerate(vecs):
         target = (p * mdi[0], p * mdi[1], p * mdi[2])
         if sum(target) > cap:
             continue
@@ -691,13 +633,10 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
             rep.check("power-grading", True, i=i)
             continue
         comps = res.graded_components()
-        ok = set(comps) == {target}
-        ech = basis.components.get(target)
-        ok = ok and ech is not None and ech.member(_derivation_to_vec(res))
         rep.check(
             "power-grading",
-            ok,
-            witness=f"components={sorted(comps)} expected={target}",
+            set(comps) == {target} and basis.member(res),
+            witness=lambda: f"components={sorted(comps)} expected={target}",
             i=i,
         )
     return rep
@@ -766,19 +705,21 @@ def sample_nil_chains(
     samples: int,
     seed: int,
     max_terms: int = 5,
-    basis: GradedBasis | None = None,
 ) -> list[NilResult]:
     """Seeded random in-zone elements pushed through the p-power chain.
 
-    Elements are F_p-combinations of at most max_terms closure basis
-    vectors, chosen below a weight budget that is itself sampled from
-    cap/p², cap/p, and cap (favoring small budgets so that several chain
-    steps stay inside the trusted zone).
+    Elements are F_p-combinations of at most max_terms basis vectors of the
+    closure of the standard generators, chosen below a weight budget that
+    is itself sampled from cap/p², cap/p, and cap (favoring small budgets so
+    that several chain steps stay inside the trusted zone).  The closure is
+    the one the verification suites share for this (tuple, depth); there is
+    no parameter to pass another basis.  A negative sample count raises
+    ValueError.
     """
-    ctx = DpContext(tup, depth)
-    cap = tup.trusted_weight_bound(depth)
-    if basis is None:
-        basis = restricted_closure(_standard_generators(ctx), cap)
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    basis = _standard_closure(tup, depth)
+    ctx, cap = basis.ctx, basis.cap
     rng = random.Random(seed)
     p = tup.p
     budgets = [max(1, cap // (p * p)), max(1, cap // p), cap]
@@ -786,7 +727,7 @@ def sample_nil_chains(
     results = []
     for _ in range(samples):
         budget = rng.choices(budgets, weights=weightsq, k=1)[0]
-        pool = [i for i, (md, _r, _w) in enumerate(basis.vectors) if sum(md) <= budget]
+        pool = [i for i, (md, _r) in enumerate(basis.vectors) if sum(md) <= budget]
         k = rng.randint(1, max_terms)
         picks = [rng.choice(pool) for _ in range(min(k, len(pool)))]
         e = Derivation.zero(ctx)
@@ -844,7 +785,7 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
         rep.check(
             "head-decomposition",
             ok,
-            witness=f"head={head}",
+            witness=lambda: f"head={head}",
             kind=kind,
             period=period,
         )

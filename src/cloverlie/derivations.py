@@ -27,6 +27,7 @@ from .dpalgebra import (
 __all__ = [
     "Derivation",
     "pivot",
+    "pivot_power",
     "bracket",
     "p_power",
     "p_power_iter",
@@ -272,6 +273,26 @@ def pivot(ctx: DpContext, kind: str, i: int) -> Derivation:
         prefix[(j, ta)] = p ** (Sj if ta == 0 else Rj) - 1
         prefix[(j, tb)] = p ** (Sj if tb == 0 else Rj) - 1
     return res
+
+
+def pivot_power(ctx: DpContext, kind: str, i: int, m: int) -> Derivation:
+    """Closed form of the generation-i pivot raised to the p^m-th power.
+
+    For m below the level bound of the pivot's axis the shift ∂^{p^m} of
+    generation i survives; the rest is the generation-(i+1) pivot times the
+    remaining powers of the two tail variables.  At m = level bound only
+    that collapse onto the next generation is left.
+    """
+    ta, tb = _KIND_TAIL_AXES[kind]
+    S, R = ctx.tup.materialize(i)
+    p = ctx.p
+    top = S if ta == 0 else R
+    res = Derivation.zero(ctx)
+    if m < top:
+        res = Derivation.shift(ctx, (i, ta), m)
+    exps = {(i, ta): p**top - p**m, (i, tb): p ** (S if tb == 0 else R) - 1}
+    exps = {var: e for var, e in exps.items() if e}
+    return res + pivot(ctx, kind, i + 1).lmul(AlgebraElement.monomial(ctx, exps))
 
 
 # -- bracket and p-th power ----------------------------------------------------

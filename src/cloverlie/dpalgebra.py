@@ -92,10 +92,6 @@ class DpContext:
             dim *= self.p ** (S + 2 * R)
         return dim
 
-    def same(self, other: "DpContext") -> None:
-        if self != other:
-            raise ContextMismatchError("context mismatch")
-
     def var_name(self, var: tuple[int, int]) -> str:
         g, a = var
         return f"{AXES[a]}{g}"

@@ -187,7 +187,7 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
     positive term); tails multiply in as divided-power monomials.  Terms
     whose closed-form exponent would be negative are dropped.
     """
-    from .derivations import Derivation, pivot
+    from .derivations import Derivation, pivot, pivot_power
     from .dpalgebra import AlgebraElement
 
     tup = ctx.tup
@@ -202,23 +202,9 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
         kind = ("v", "w")[d.head[0]] if d.family == "first" else "u"
         return pivot(ctx, kind, 0)
     g = n - 1
-    S, R = tup.materialize(g)
     if d.family in _POWER_KIND:
-        kind = _POWER_KIND[d.family]
-        m = d.head[0]
-        axis = "vwu".index(kind)
-        res = Derivation.zero(ctx)
-        level_bound = S if kind == "v" else R
-        if m < level_bound:
-            res = res + Derivation.shift(ctx, (g, axis), m)
-        if kind == "v":
-            exps = {(g, 0): p**S - p**m, (g, 1): p**R - 1}
-        elif kind == "w":
-            exps = {(g, 1): p**R - p**m, (g, 0): p**S - 1}
-        else:
-            exps = {(g, 2): p**R - p**m, (g, 0): p**S - 1}
-        exps = {var: e for var, e in exps.items() if e}
-        return res + pivot(ctx, kind, g + 1).lmul(AlgebraElement.monomial(ctx, exps))
+        return pivot_power(ctx, _POWER_KIND[d.family], g, d.head[0])
+    S, R = tup.materialize(g)
 
     tail_exps: dict[tuple[int, int], int] = {}
     for i, t in enumerate(d.tail):

@@ -242,7 +242,10 @@ class ParameterTuple:
                     val = iv.exp(val)
                 lo, hi = mpmath.floor(val.a), mpmath.floor(val.b)
                 if lo == hi and mpmath.isfinite(val.b):
-                    return int(lo)
+                    try:
+                        return int(lo)
+                    except OverflowError:
+                        raise TupleRuleError("tuple entry too large to materialize") from None
         finally:
             iv.prec = saved
         raise RoundingAmbiguityError(

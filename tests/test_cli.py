@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cloverlie import GrowthTable
+import cloverlie
+from cloverlie import GrowthTable, closure
 from cloverlie.cli import main
 
 
@@ -117,6 +121,23 @@ def test_basis_check_passes(capsys):
     assert "pass" in out and "0 fail" in out
 
 
+def test_basis_check_builds_one_closure(capsys, monkeypatch):
+    calls = []
+    real = closure.restricted_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    closure._standard_closure.cache_clear()
+    monkeypatch.setattr(closure, "restricted_closure", counting)
+    code, _, _ = run(
+        capsys, "basis", "--p", "2", "--tuple", "constant:1,1", "--depth", "4", "--check"
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_basis_without_check_prints_zone_table(capsys):
     code, out, _ = run(
         capsys, "basis", "--p", "2", "--tuple", "constant:1,1", "--depth", "4"
@@ -206,6 +227,26 @@ def test_nil_seed_required(capsys):
     assert code == 2
 
 
+def test_nil_rejects_negative_samples(capsys):
+    code, out, err = run(
+        capsys,
+        "nil",
+        "--p",
+        "2",
+        "--tuple",
+        "constant:1,1",
+        "--depth",
+        "4",
+        "--samples",
+        "-3",
+        "--seed",
+        "7",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_nil_deterministic(capsys):
     args = (
         "nil",
@@ -274,6 +315,19 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
         "quasilinear",
     )
     assert code == 2
+
+
+def test_bounds_tower_entry_too_large_is_config_error():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cloverlie.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cloverlie.cli", "bounds", "--p", "2",
+         "--tuple", "qkappa:3,1", "--max-weight", "1000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: tuple entry too large to materialize"]
 
 
 # ---------------------------------------------------------------------------

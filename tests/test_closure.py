@@ -17,6 +17,7 @@ from cloverlie import (
     self_similarity_decompose,
     verify_basis_theorem,
     verify_grading,
+    VerificationReport,
 )
 from cloverlie.closure import _standard_generators
 
@@ -86,6 +87,19 @@ def test_report_serialization():
     first = json.loads(lines[0])
     assert {"check", "status"} <= set(first)
     assert "pass" in rep.summary()
+
+
+def test_witness_rendered_only_on_failure():
+    def boom():
+        raise AssertionError("witness rendered for a passing check")
+
+    rep = VerificationReport(suite="demo")
+    rep.check("holds", True, witness=boom, i=0)
+    rep.check("breaks", False, witness=lambda: "lhs=1 rhs=2", i=1)
+    assert [r.witness for r in rep.records] == [None, "lhs=1 rhs=2"]
+    lines = [json.loads(line) for line in rep.to_json_lines().splitlines()]
+    assert [line["witness"] for line in lines] == [None, "lhs=1 rhs=2"]
+    assert "    witness: lhs=1 rhs=2" in rep.summary().splitlines()
 
 
 # ---------------------------------------------------------------------------

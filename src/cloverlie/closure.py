@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .params import ParameterTuple
-from .dpalgebra import AlgebraElement, ContextMismatchError, DpContext
+from .dpalgebra import AlgebraElement, ContextMismatchError, DpContext, DpMonomial
 from .derivations import (
     Derivation,
     ad_power,
@@ -132,35 +132,24 @@ class VerificationReport:
                     lines.append(f"    witness: {r.witness}")
         return "\n".join(lines)
 
-    def merge(self, other: "VerificationReport") -> None:
-        self.records.extend(other.records)
-
 
 # -- echelonized graded basis ------------------------------------------------------
 
 
-def _coord_key(ctx: DpContext, var, level, mono):
-    vec = tuple(mono.exponent(v) for v in ctx.variables())
-    return (var, level, mono.degree(), vec)
-
-
 def _derivation_to_vec(D: Derivation) -> dict:
+    """Coordinates keyed (variable, level, degree, exponent vector); echelon
+    rows lead with the least key in this order."""
     out = {}
     for (var, level), f in D.coeffs.items():
         for mono, c in f.terms.items():
-            out[_coord_key(D.ctx, var, level, mono)] = c
+            out[(var, level, sum(mono.exps), mono.exps)] = c
     return out
 
 
 def _vec_to_derivation(ctx: DpContext, vec: dict) -> Derivation:
-    from .dpalgebra import DpMonomial
-
     coeffs: dict = {}
-    for (var, level, _deg, expvec), c in vec.items():
-        mono = DpMonomial(
-            tuple((v, e) for v, e in zip(ctx.variables(), expvec) if e)
-        )
-        coeffs.setdefault((var, level), {})[mono] = c
+    for (var, level, _deg, exps), c in vec.items():
+        coeffs.setdefault((var, level), {})[DpMonomial(exps)] = c
     res = Derivation(ctx)
     for key, monos in coeffs.items():
         el = AlgebraElement(ctx)
@@ -261,11 +250,16 @@ class GradedBasis:
 
     def member(self, D: Derivation) -> bool:
         """Exact membership; inhomogeneous elements split into graded parts."""
-        for md, part in D.graded_components().items():
-            ech = self.components.get(md)
-            if ech is None or not ech.member(_derivation_to_vec(part)):
-                return False
-        return True
+        return _span_member(self.components, D.graded_components())
+
+
+def _span_member(components: dict, parts: dict) -> bool:
+    """Whether every graded part lies in the echelon of its multidegree."""
+    for md, part in parts.items():
+        ech = components.get(md)
+        if ech is None or not ech.member(_derivation_to_vec(part)):
+            return False
+    return True
 
 
 def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedBasis:
@@ -520,9 +514,12 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             weight=m,
         )
 
-    indep = _Echelon(tup.p)
+    p = tup.p
+    indep = _Echelon(p)
     indep_ok = True
-    first_span, second_span = GradedBasis(ctx, cap), GradedBasis(ctx, cap)
+    # per-multidegree echelons of the two families, used only for membership
+    first_span: dict[tuple[int, int, int], _Echelon] = {}
+    second_span: dict[tuple[int, int, int], _Echelon] = {}
     first_vecs: list[tuple[tuple[int, int, int], Derivation]] = []
     second_vecs: list[tuple[tuple[int, int, int], Derivation]] = []
     for md in sorted(by_md):
@@ -541,22 +538,24 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 witness=lambda: f"descriptor={d} predicted={md} actual={actual}",
                 descriptor=str(d),
             )
-            if indep.insert(_derivation_to_vec(D)) is None:
+            vec = _derivation_to_vec(D)
+            if indep.insert(vec) is None:
                 indep_ok = False
                 rep.check(
                     "realize-independence", False,
                     witness=lambda: f"dependent descriptor {d}", descriptor=str(d),
                 )
             if d.family in ("first", "power_v", "power_w"):
-                first_span.insert(md, D)
-                first_vecs.append((md, D))
+                span, vecs = first_span, first_vecs
             else:
-                second_span.insert(md, D)
-                second_vecs.append((md, D))
+                span, vecs = second_span, second_vecs
+            if md not in span:
+                span[md] = _Echelon(p)
+            span[md].insert(vec)
+            vecs.append((md, D))
     if indep_ok:
         rep.check("realize-independence", True, count=sum(map(len, by_md.values())))
 
-    p = tup.p
     for i, (mdi, Di) in enumerate(first_vecs):
         for mdj, Dj in first_vecs[i:]:
             if sum(mdi) + sum(mdj) > cap:
@@ -564,14 +563,14 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             res = bracket(Di, Dj)
             rep.check(
                 "subalgebra-first",
-                first_span.member(res),
+                _span_member(first_span, res.graded_components()),
                 witness=lambda: f"[{Di},{Dj}]={res}",
                 weights=(sum(mdi), sum(mdj)),
             )
         if p * sum(mdi) <= cap:
             rep.check(
                 "subalgebra-first-power",
-                first_span.member(p_power(Di)),
+                _span_member(first_span, p_power(Di).graded_components()),
                 witness=lambda: f"power of {Di}",
                 weight=sum(mdi),
             )
@@ -582,7 +581,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             res = bracket(Di, Dj)
             rep.check(
                 "ideal-second",
-                second_span.member(res),
+                _span_member(second_span, res.graded_components()),
                 witness=lambda: f"[{Di},{Dj}]={res}",
                 weights=(sum(mdi), sum(mdj)),
             )
@@ -590,7 +589,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
         if p * sum(mdj) <= cap:
             rep.check(
                 "ideal-second-power",
-                second_span.member(p_power(Dj)),
+                _span_member(second_span, p_power(Dj).graded_components()),
                 witness=lambda: f"power of {Dj}",
                 weight=sum(mdj),
             )
@@ -619,7 +618,7 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
             comps = res.graded_components()
             rep.check(
                 "bracket-grading",
-                set(comps) == {target} and basis.member(res),
+                set(comps) == {target} and _span_member(basis.components, comps),
                 witness=lambda: f"components={sorted(comps)} expected={target}",
                 i=i,
                 j=j,
@@ -635,7 +634,7 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
         comps = res.graded_components()
         rep.check(
             "power-grading",
-            set(comps) == {target} and basis.member(res),
+            set(comps) == {target} and _span_member(basis.components, comps),
             witness=lambda: f"components={sorted(comps)} expected={target}",
             i=i,
         )
@@ -775,13 +774,10 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
                 corner[(g, 1)] = p**R - 1
         tail = pivot(ctx, kind, period).lmul(AlgebraElement.monomial(ctx, corner))
         head = pivot(ctx, kind, 0) - tail
-        ok = True
-        for (var, level), f in head.coeffs.items():
-            if var[0] >= period:
-                ok = False
-            for mono, _c in f.terms.items():
-                if any(g >= period for (g, _a), _e in mono.exps):
-                    ok = False
+        ok = not any(
+            var[0] >= period or any(any(mono.exps[3 * period:]) for mono in f.terms)
+            for (var, _level), f in head.coeffs.items()
+        )
         rep.check(
             "head-decomposition",
             ok,

@@ -223,25 +223,20 @@ def _add3(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def _axis_kind(axis: int) -> str:
-    return "vwu"[axis]
-
-
 def _shift_multidegree(ctx: DpContext, var: tuple[int, int], level: int):
     """Multidegree of ∂_var^{p^level}: p^level times the grade of ∂_var."""
-    g, a = var
-    base = ctx.tup.pivot_multidegree(g, _axis_kind(a)).as_tuple()
+    gv, gw, gu = ctx.grades[ctx.index(var)]
     s = ctx.p ** level
-    return (base[0] * s, base[1] * s, base[2] * s)
+    return (gv * s, gw * s, gu * s)
 
 
 def _monomial_multidegree(ctx: DpContext, mono: DpMonomial):
     """Multidegree of a divided-power monomial: minus exponent-weighted grades."""
-    acc = (0, 0, 0)
-    for (g, a), e in mono.exps:
-        base = ctx.tup.pivot_multidegree(g, _axis_kind(a)).as_tuple()
-        acc = (acc[0] - e * base[0], acc[1] - e * base[1], acc[2] - e * base[2])
-    return acc
+    v = w = u = 0
+    for e, (gv, gw, gu) in zip(mono.exps, ctx.grades):
+        if e:
+            v, w, u = v - e * gv, w - e * gw, u - e * gu
+    return (v, w, u)
 
 
 # -- pivots -------------------------------------------------------------------
@@ -334,13 +329,6 @@ def ad_power(D: Derivation, E: Derivation, k: int) -> Derivation:
     for _ in range(k):
         acc = bracket(D, acc)
     return acc
-
-
-def _generator_monomials(ctx: DpContext):
-    """All (var, level, monomial t_var^{(p^level)}) triples of the context."""
-    for var in ctx.variables():
-        for j in range(ctx.level_bound(var)):
-            yield var, j, AlgebraElement.monomial(ctx, {var: ctx.p**j})
 
 
 def p_power(D: Derivation, verify: bool = False) -> Derivation:

@@ -2,16 +2,21 @@
 
 A depth-N context carries three divided-power variables per generation
 i < N: the x-variable with exponents 0 <= e < p^{S_i} and the y-, z-variables
-with exponents 0 <= e < p^{R_i}.  The product of basis monomials multiplies
-matching exponents additively and carries a binomial coefficient per variable
-(computed mod p by Lucas' theorem); a term dies when an exponent would reach
-its bound.  The shift operators send t^{(e)} to t^{(e - p^m)} on one variable
-and act trivially on the others; they are exactly the p^m-th powers of the
-basic first-order shift and vanish once p^m reaches the exponent bound.
+with exponents 0 <= e < p^{R_i}.  A basis monomial is a dense exponent
+vector with one entry per variable in canonical order, so variable (g, a)
+sits at index 3g + a; the context caches the per-variable exponent bounds
+and grades in the same order.  The product of basis monomials adds exponent
+vectors and carries a binomial coefficient per variable (computed mod p by
+Lucas' theorem); a term dies when an exponent would reach its bound.  The
+shift operators send t^{(e)} to t^{(e - p^m)} on one variable and act
+trivially on the others; they are exactly the p^m-th powers of the basic
+first-order shift and vanish once p^m reaches the exponent bound.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +68,7 @@ class DpContext:
             raise ValueError("depth must be >= 1")
         self.tup.pairs(self.depth)
 
-    @property
+    @functools.cached_property
     def p(self) -> int:
         return self.tup.p
 
@@ -71,13 +76,32 @@ class DpContext:
         """All variable ids (generation, axis) in canonical order."""
         return tuple((g, a) for g in range(self.depth) for a in range(3))
 
-    def exponent_bound(self, var: tuple[int, int]) -> int:
-        """Exponents of ``var`` run in 0 .. bound-1."""
+    @functools.cached_property
+    def bounds(self) -> tuple[int, ...]:
+        """Exponent bound p^S or p^R of every variable, in canonical order."""
+        return tuple(
+            self.p ** e for S, R in self.tup.pairs(self.depth) for e in (S, R, R)
+        )
+
+    @functools.cached_property
+    def grades(self) -> tuple[tuple[int, int, int], ...]:
+        """Multidegree of every variable's first-order shift, in canonical order."""
+        return tuple(
+            self.tup.pivot_multidegree(g, kind).as_tuple()
+            for g in range(self.depth)
+            for kind in "vwu"
+        )
+
+    def index(self, var: tuple[int, int]) -> int:
+        """Position 3g + a of variable (g, a) in exponent vectors."""
         g, a = var
         if not (0 <= g < self.depth and 0 <= a < 3):
             raise ValueError(f"variable {var} outside depth-{self.depth} context")
-        S, R = self.tup.materialize(g)
-        return self.p ** (S if a == 0 else R)
+        return 3 * g + a
+
+    def exponent_bound(self, var: tuple[int, int]) -> int:
+        """Exponents of ``var`` run in 0 .. bound-1."""
+        return self.bounds[self.index(var)]
 
     def level_bound(self, var: tuple[int, int]) -> int:
         """Number of nonzero shift levels of ``var``: its bound is p**level_bound."""
@@ -86,11 +110,7 @@ class DpContext:
         return S if a == 0 else R
 
     def dimension(self) -> int:
-        dim = 1
-        for g in range(self.depth):
-            S, R = self.tup.materialize(g)
-            dim *= self.p ** (S + 2 * R)
-        return dim
+        return math.prod(self.bounds)
 
     def var_name(self, var: tuple[int, int]) -> str:
         g, a = var
@@ -99,31 +119,17 @@ class DpContext:
 
 @dataclass(frozen=True)
 class DpMonomial:
-    """A basis monomial: sorted ((generation, axis), exponent) pairs, no zeros."""
+    """A basis monomial: one exponent per variable of its context, in
+    canonical order, so the exponent of variable (g, a) is ``exps[3g + a]``."""
 
-    exps: tuple[tuple[tuple[int, int], int], ...]
-
-    @staticmethod
-    def unit() -> "DpMonomial":
-        return DpMonomial(())
-
-    @staticmethod
-    def from_dict(d: dict) -> "DpMonomial":
-        return DpMonomial(tuple(sorted((v, e) for v, e in d.items() if e)))
-
-    def exponent(self, var: tuple[int, int]) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+    exps: tuple[int, ...]
 
     def render(self) -> str:
-        if not self.exps:
+        if not any(self.exps):
             return "1"
-        return ".".join(f"{AXES[a]}{g}^({e})" for (g, a), e in self.exps)
+        return ".".join(
+            f"{AXES[i % 3]}{i // 3}^({e})" for i, e in enumerate(self.exps) if e
+        )
 
     def __str__(self) -> str:
         return self.render()
@@ -134,42 +140,16 @@ def _mul_mono(ctx: DpContext, m1: DpMonomial, m2: DpMonomial):
     p = ctx.p
     coeff = 1
     out = []
-    i = j = 0
-    e1, e2 = m1.exps, m2.exps
-    while i < len(e1) and j < len(e2):
-        v1, a1 = e1[i]
-        v2, a2 = e2[j]
-        if v1 < v2:
-            out.append(e1[i])
-            i += 1
-        elif v2 < v1:
-            out.append(e2[j])
-            j += 1
-        else:
-            s = a1 + a2
-            if s >= ctx.exponent_bound(v1):
+    for a, b, bound in zip(m1.exps, m2.exps, ctx.bounds):
+        s = a + b
+        if a and b:
+            if s >= bound:
                 return None
-            coeff = coeff * binom_mod_p(s, a1, p) % p
+            coeff = coeff * binom_mod_p(s, a, p) % p
             if coeff == 0:
                 return None
-            out.append((v1, s))
-            i += 1
-            j += 1
-    out.extend(e1[i:])
-    out.extend(e2[j:])
+        out.append(s)
     return coeff, DpMonomial(tuple(out))
-
-
-def _shift_mono(ctx: DpContext, mono: DpMonomial, var: tuple[int, int], step: int):
-    """Lower the exponent of ``var`` by ``step``; None when the term dies."""
-    e = mono.exponent(var)
-    if e < step:
-        return None
-    if e == step:
-        return DpMonomial(tuple(pair for pair in mono.exps if pair[0] != var))
-    return DpMonomial(tuple(
-        (v, ex - step) if v == var else (v, ex) for v, ex in mono.exps
-    ))
 
 
 class AlgebraElement:
@@ -195,17 +175,20 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, ctx: DpContext) -> "AlgebraElement":
-        return cls(ctx, {DpMonomial.unit(): 1})
+        return cls(ctx, {DpMonomial((0,) * (3 * ctx.depth)): 1})
 
     @classmethod
     def monomial(cls, ctx: DpContext, exps: dict, coeff: int = 1) -> "AlgebraElement":
         """Element with a single monomial given as {variable: exponent}."""
+        vec = [0] * (3 * ctx.depth)
         for v, e in exps.items():
-            if not (0 <= e < ctx.exponent_bound(v)):
+            i = ctx.index(v)
+            if not (0 <= e < ctx.bounds[i]):
                 raise ValueError(
-                    f"exponent {e} of {ctx.var_name(v)} outside 0..{ctx.exponent_bound(v) - 1}"
+                    f"exponent {e} of {ctx.var_name(v)} outside 0..{ctx.bounds[i] - 1}"
                 )
-        return cls(ctx, {DpMonomial.from_dict(exps): coeff})
+            vec[i] = e
+        return cls(ctx, {DpMonomial(tuple(vec)): coeff})
 
     # -- ring operations ----------------------------------------------------
 
@@ -263,23 +246,20 @@ class AlgebraElement:
         return res
 
     def derive(self, var: tuple[int, int], m: int = 0) -> "AlgebraElement":
-        """Apply the p^m-th shift of ``var`` termwise."""
+        """Apply the p^m-th shift of ``var`` termwise.
+
+        The shift lowers one exponent by p^m, so distinct surviving terms
+        stay distinct and keep their coefficients.
+        """
         if m < 0:
             raise ValueError("shift level must be >= 0")
-        g, a = var
-        if not (0 <= g < self.ctx.depth and 0 <= a < 3):
-            raise ValueError(f"variable {var} outside depth-{self.ctx.depth} context")
+        i = self.ctx.index(var)
         step = self.ctx.p ** m
         out: dict[DpMonomial, int] = {}
         for mono, c in self.terms.items():
-            shifted = _shift_mono(self.ctx, mono, var, step)
-            if shifted is None:
-                continue
-            nc = (out.get(shifted, 0) + c) % self.ctx.p
-            if nc:
-                out[shifted] = nc
-            else:
-                out.pop(shifted, None)
+            exps = mono.exps
+            if exps[i] >= step:
+                out[DpMonomial(exps[:i] + (exps[i] - step,) + exps[i + 1:])] = c
         res = AlgebraElement(self.ctx)
         res.terms = out
         return res
@@ -323,8 +303,7 @@ class AlgebraElement:
 def term_key(ctx: DpContext, mono: DpMonomial):
     """Graded-lexicographic sort key: total degree, then the exponent vector
     read in canonical variable order (generation, then letter x < y < z)."""
-    vec = tuple(mono.exponent(v) for v in ctx.variables())
-    return (mono.degree(), vec)
+    return (sum(mono.exps), mono.exps)
 
 
 def dp_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -346,13 +325,9 @@ def dp_basis(ctx: DpContext, cap: int = 2_000_000) -> list[DpMonomial]:
         raise ValueError(
             f"truncation too large to enumerate: dimension {dim} exceeds cap {cap}"
         )
-    monos = [DpMonomial.unit()]
-    for var in ctx.variables():
-        bound = ctx.exponent_bound(var)
-        monos = [
-            DpMonomial(m.exps + (((var), e),)) if e else m
-            for m in monos
-            for e in range(bound)
-        ]
+    monos = [
+        DpMonomial(exps)
+        for exps in itertools.product(*(range(b) for b in ctx.bounds))
+    ]
     monos.sort(key=lambda m: term_key(ctx, m))
     return monos

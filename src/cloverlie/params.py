@@ -130,6 +130,9 @@ _KINDS = ("constant", "periodic", "kappa", "qkappa", "explicit")
 # Precision ladder (bits) for interval evaluation of nested exponentials.
 _PREC_LADDER = (128, 256, 512, 1024, 4096, 16384, 65536)
 
+# Largest size, in bits, of a power p**S or p**R that an entry may imply.
+_MAX_ENTRY_BITS = 1 << 26
+
 
 class ParameterTuple:
     """The prime p together with a generation rule for the pairs (S_i, R_i).
@@ -255,12 +258,19 @@ class ParameterTuple:
     # -- materialization ---------------------------------------------------
 
     def materialize(self, n: int) -> tuple[int, int]:
-        """The pair (S_n, R_n); deterministic and cached."""
+        """The pair (S_n, R_n); deterministic and cached.
+
+        Raises TupleRuleError for an entry whose power p**S or p**R would
+        exceed 2**26 bits, rather than let a later power hang.
+        """
         if n < 0:
             raise ValueError("generation index must be >= 0")
         with self._lock:
             while len(self._pairs) <= n:
-                self._pairs.append(self._rule_pair(len(self._pairs)))
+                pair = self._rule_pair(len(self._pairs))
+                if max(pair) * self.p.bit_length() > _MAX_ENTRY_BITS:
+                    raise TupleRuleError("tuple entry too large to materialize")
+                self._pairs.append(pair)
             return self._pairs[n]
 
     def pairs(self, n: int) -> tuple[tuple[int, int], ...]:

@@ -317,12 +317,30 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
     assert code == 2
 
 
-def test_bounds_tower_entry_too_large_is_config_error():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--tuple", "qkappa:3,1", "--max-weight", "1000"],
+        ["bounds", "--tuple", "qkappa:2,1", "--max-weight", "1000"],
+        ["growth", "--tuple", "qkappa:2,1", "--max-weight", "100"],
+        ["basis", "--tuple", "qkappa:2,1", "--depth", "3"],
+        ["bounds", "--tuple", "kappa:1/100", "--max-weight", "1000"],
+        ["growth", "--tuple", "explicit:1,1;100000000000,1", "--max-weight", "100"],
+    ],
+    ids=[
+        "bounds-qkappa3",
+        "bounds-qkappa2",
+        "growth-qkappa2",
+        "basis-qkappa2",
+        "bounds-kappa1of100",
+        "growth-explicit1e11",
+    ],
+)
+def test_bounds_tower_entry_too_large_is_config_error(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cloverlie.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "cloverlie.cli", "bounds", "--p", "2",
-         "--tuple", "qkappa:3,1", "--max-weight", "1000"],
+        [sys.executable, "-m", "cloverlie.cli", argv[0], "--p", "2", *argv[1:]],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2

@@ -1,5 +1,6 @@
 """Bracket/power closure: basis dimensions, gradings, nil chains, recursion."""
 
+import hashlib
 import json
 
 import pytest
@@ -100,6 +101,25 @@ def test_witness_rendered_only_on_failure():
     lines = [json.loads(line) for line in rep.to_json_lines().splitlines()]
     assert [line["witness"] for line in lines] == [None, "lhs=1 rhs=2"]
     assert "    witness: lhs=1 rhs=2" in rep.summary().splitlines()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_outputs():
+    # digests of outputs that depend on the order of the closure vectors,
+    # pinned so that a representation change which reorders them fails here
+    assert _sha256(verify_grading(TUP2, 4).to_json_lines()) == (
+        "902513b5ca8430fc085531f13310efee6858263c7afbcc37afb5cd4d5bb0045f"
+    )
+    assert _sha256(verify_basis_theorem(TUP3, 3).to_json_lines()) == (
+        "88741313708d26e0bdfd9958874b35be47a7669200f1ba92aca4613dd32216e2"
+    )
+    chains = [(r.status, r.k, r.chain_weights) for r in sample_nil_chains(TUP2, 4, 25, seed=7)]
+    assert _sha256(repr(chains)) == (
+        "48f915b2eef3d5db8749a6a5ed0e05939fdc422f79478c81722b1209e06a5828"
+    )
 
 
 # ---------------------------------------------------------------------------

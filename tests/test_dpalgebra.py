@@ -142,6 +142,67 @@ def test_shift_is_a_derivation(rnd):
 
 
 # ---------------------------------------------------------------------------
+# independent reference: exponent dicts and math.comb
+
+
+@st.composite
+def dp_operands(draw):
+    """A multi-generation context and two elements as {exponent dict: coeff}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3))
+    ctx = DpContext(ParameterTuple.explicit(p, pairs), len(pairs))
+    bound = {(g, a): p ** (S if a == 0 else R) for g, (S, R) in enumerate(pairs) for a in range(3)}
+    mono = st.dictionaries(
+        st.sampled_from(sorted(bound)), st.integers(0, max(bound.values()) - 1), max_size=4
+    ).map(lambda d: {v: e % bound[v] for v, e in d.items() if e % bound[v]})
+    element = st.lists(st.tuples(mono, st.integers(1, p - 1)), max_size=4)
+    return ctx, bound, draw(element), draw(element)
+
+
+def from_reference(ctx, terms):
+    el = AlgebraElement.zero(ctx)
+    for exps, c in terms:
+        el = el + AlgebraElement.monomial(ctx, exps, c)
+    return el
+
+
+@settings(max_examples=150, deadline=None)
+@given(dp_operands())
+def test_product_matches_comb_reference(operands):
+    ctx, bound, xs, ys = operands
+    p = ctx.p
+    expect = []
+    for ex, cx in xs:
+        for ey, cy in ys:
+            exps, coeff = {}, cx * cy
+            for v in set(ex) | set(ey):
+                a, b = ex.get(v, 0), ey.get(v, 0)
+                if a + b >= bound[v]:
+                    break
+                exps[v] = a + b
+                coeff *= math.comb(a + b, a)
+            else:
+                if coeff % p:
+                    expect.append((exps, coeff % p))
+    assert from_reference(ctx, xs) * from_reference(ctx, ys) == from_reference(ctx, expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dp_operands(), st.data())
+def test_shift_matches_reference(operands, data):
+    ctx, bound, xs, _ = operands
+    var = data.draw(st.sampled_from(sorted(bound)))
+    m = data.draw(st.integers(0, ctx.level_bound(var) - 1))
+    step = ctx.p**m
+    expect = [
+        ({**exps, var: exps.get(var, 0) - step}, c)
+        for exps, c in xs
+        if exps.get(var, 0) >= step
+    ]
+    assert from_reference(ctx, xs).derive(var, m) == from_reference(ctx, expect)
+
+
+# ---------------------------------------------------------------------------
 # bookkeeping
 
 

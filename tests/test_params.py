@@ -58,6 +58,18 @@ def test_tower_rule_indices():
     assert all(tup.materialize(n)[1] == 1 for n in range(4))
 
 
+def test_entry_size_limit():
+    # the largest entry in use (S = 3,145,728 for qkappa:1,1 up to 10**2000)
+    # materializes; an entry whose power p**S needs more than 2**26 bits does not
+    assert ParameterTuple.explicit(2, [(3_145_728, 1)]).materialize(0) == (3_145_728, 1)
+    tup = ParameterTuple.explicit(2, [(1, 1), (10**11, 1)])
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        tup.materialize(1)
+    assert tup.materialized_length == 1
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        ParameterTuple.kappa(2, "1/100").materialize(1)
+
+
 def test_tower_rule_degenerate():
     # a tiny growth target starves the increments and the rule collapses
     tup = ParameterTuple.qkappa(2, 1, "10")

@@ -4,10 +4,11 @@ A depth-N context carries three divided-power variables per generation
 i < N: the x-variable with exponents 0 <= e < p^{S_i} and the y-, z-variables
 with exponents 0 <= e < p^{R_i}.  A basis monomial is a dense exponent
 vector with one entry per variable in canonical order, so variable (g, a)
-sits at index 3g + a; the context caches the per-variable exponent bounds
-and grades in the same order.  The product of basis monomials adds exponent
-vectors and carries a binomial coefficient per variable (computed mod p by
-Lucas' theorem); a term dies when an exponent would reach its bound.  The
+sits at index 3g + a; the context caches the per-variable level counts,
+exponent bounds and grades in the same order.  The product of basis
+monomials adds exponent vectors and carries a binomial coefficient per
+variable (computed mod p by Lucas' theorem); a term dies when an exponent
+would reach its bound.  The
 shift operators send t^{(e)} to t^{(e - p^m)} on one variable and act
 trivially on the others; they are exactly the p^m-th powers of the basic
 first-order shift and vanish once p^m reaches the exponent bound.
@@ -77,11 +78,14 @@ class DpContext:
         return tuple((g, a) for g in range(self.depth) for a in range(3))
 
     @functools.cached_property
+    def levels(self) -> tuple[int, ...]:
+        """Level count S or R of every variable, in canonical order."""
+        return tuple(e for S, R in self.tup.pairs(self.depth) for e in (S, R, R))
+
+    @functools.cached_property
     def bounds(self) -> tuple[int, ...]:
         """Exponent bound p^S or p^R of every variable, in canonical order."""
-        return tuple(
-            self.p ** e for S, R in self.tup.pairs(self.depth) for e in (S, R, R)
-        )
+        return tuple(self.p**level for level in self.levels)
 
     @functools.cached_property
     def grades(self) -> tuple[tuple[int, int, int], ...]:
@@ -105,9 +109,7 @@ class DpContext:
 
     def level_bound(self, var: tuple[int, int]) -> int:
         """Number of nonzero shift levels of ``var``: its bound is p**level_bound."""
-        g, a = var
-        S, R = self.tup.materialize(g)
-        return S if a == 0 else R
+        return self.levels[self.index(var)]
 
     def dimension(self) -> int:
         return math.prod(self.bounds)

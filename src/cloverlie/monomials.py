@@ -19,15 +19,22 @@ deficiencies subtracted from the head weight.  Counting descriptors of weight
 at most m never materializes operators: it is exact big-integer lattice-point
 counting (closed-form box sums plus a memoized digit recursion over the
 mixed-radix ladder), with a vectorized dense convolution path for tables that
-need every integer row.
+need every integer row.  The memo belongs to one engine per (tuple, family);
+engines are held in a bounded least-recently-used cache, so calls share them
+without unbounded growth.  Dense tables are cross-checked against the
+big-integer engine at every pivot-ladder weight W_n below the last row and
+at the last row.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,21 +280,23 @@ class _TailEngine:
         self._totals: list[int] = [1]
         self._dmax: list[int] = [0]
         self._memo: dict[tuple[int, int], int] = {}
+        self._lock = threading.Lock()
 
     def _extend(self, k: int) -> None:
         p = self.p
-        while len(self._caps) < k:
-            i = len(self._caps)
-            S, R = self.tup.materialize(i)
-            if self.family == "first":
-                cap = (p**S - 1) + (p**R - 1)
-                size = p ** (S + R)
-            else:
-                cap = (p**S - 1) + 2 * (p**R - 1)
-                size = p ** (S + 2 * R)
-            self._caps.append(cap)
-            self._totals.append(self._totals[-1] * size)
-            self._dmax.append(self._dmax[-1] + cap * self.tup.pivot_weight(i))
+        with self._lock:
+            while len(self._caps) < k:
+                i = len(self._caps)
+                S, R = self.tup.materialize(i)
+                if self.family == "first":
+                    cap = (p**S - 1) + (p**R - 1)
+                    size = p ** (S + R)
+                else:
+                    cap = (p**S - 1) + 2 * (p**R - 1)
+                    size = p ** (S + 2 * R)
+                self._caps.append(cap)
+                self._totals.append(self._totals[-1] * size)
+                self._dmax.append(self._dmax[-1] + cap * self.tup.pivot_weight(i))
 
     def total(self, k: int) -> int:
         self._extend(k)
@@ -346,15 +355,11 @@ class _TailEngine:
         return self.total(k) - self.below(k, req - 1)
 
 
-_ENGINES: dict[tuple[ParameterTuple, str], _TailEngine] = {}
-
-
+# Engines keep their memo between calls (the quasilinear rows reuse it);
+# eight is the two families of each of the last four tuples.
+@functools.lru_cache(maxsize=8)
 def _engine(tup: ParameterTuple, family: str) -> _TailEngine:
-    key = (tup, family)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = _ENGINES[key] = _TailEngine(tup, family)
-    return eng
+    return _TailEngine(tup, family)
 
 
 def _head_box(tup: ParameterTuple, family: str, n: int) -> tuple[int, int]:
@@ -366,19 +371,41 @@ def _head_box(tup: ParameterTuple, family: str, n: int) -> tuple[int, int]:
     return p**S - 1, p**R
 
 
-def min_weight(tup: ParameterTuple, family: str, n: int) -> int | None:
-    """Least possible weight of a length-n descriptor; None when empty."""
-    if n == 0:
-        return 1 if family in ("first", "second") else None
-    if family in _POWER_KIND:
-        return tup.p * tup.pivot_weight(n - 1)
-    if family == "first":
-        return tup.pivot_weight(n - 1) + 1
-    acc = 2
-    for i in range(n - 1):
-        S, _ = tup.materialize(i)
-        acc += (tup.p**S - 1) * tup.pivot_weight(i)
-    return acc
+def _lengths(tup: ParameterTuple, family: str, m: int):
+    """Yield (n, W_{n-1}) for every length n >= 1 whose least weight is <= m.
+
+    The least weight of a length-n descriptor is W_{n-1} + 1 (first),
+    p W_{n-1} (power families) or 2 + sum_{i < n-1} (p^{S_i} - 1) W_i
+    (second, kept as a running sum); each grows with n.
+    """
+    p = tup.p
+    least_second = 2
+    for n in itertools.count(1):
+        if family == "second":
+            if least_second > m:
+                return
+            W = tup.pivot_weight(n - 1)
+            S, _ = tup.materialize(n - 1)
+            least_second += (p**S - 1) * W
+        else:
+            W = tup.pivot_weight(n - 1)
+            if (W + 1 if family == "first" else p * W) > m:
+                return
+        yield n, W
+
+
+def _power_weights(tup: ParameterTuple, family: str, n: int, m: int) -> list[int]:
+    """Weights W_{n-1} p^j <= m of the length-n power descriptors, j = 1, 2, ..."""
+    S, R = tup.materialize(n - 1)
+    bound = S if family == "power_v" else R
+    weights = []
+    val = tup.pivot_weight(n - 1)
+    for _ in range(bound):
+        val *= tup.p
+        if val > m:
+            break
+        weights.append(val)
+    return weights
 
 
 def _count_headed(tup: ParameterTuple, family: str, n: int, m: int) -> int:
@@ -408,34 +435,6 @@ def _count_headed(tup: ParameterTuple, family: str, n: int, m: int) -> int:
     return acc
 
 
-def _count_power(tup: ParameterTuple, family: str, n: int, m: int) -> int:
-    """Length-n power descriptors of one kind with weight <= m (n >= 1)."""
-    S, R = tup.materialize(n - 1)
-    bound = S if family == "power_v" else R
-    W = tup.pivot_weight(n - 1)
-    p = tup.p
-    count = 0
-    val = W
-    for _ in range(1, bound + 1):
-        val *= p
-        if val > m:
-            break
-        count += 1
-    return count
-
-
-def _count_family_length(tup: ParameterTuple, family: str, n: int, m: int) -> int:
-    if n == 0:
-        if m < 1:
-            return 0
-        if family == "first":
-            return 2
-        return 1 if family == "second" else 0
-    if family in _POWER_KIND:
-        return _count_power(tup, family, n, m)
-    return _count_headed(tup, family, n, m)
-
-
 def count_descriptors(
     tup: ParameterTuple,
     max_weight: int,
@@ -456,19 +455,18 @@ def count_descriptors(
             raise ValueError(f"unknown family {f!r}")
     out = {}
     for f in fams:
-        if length is not None:
-            out[f] = _count_family_length(tup, f, length, max_weight)
-            continue
+        if length is None:
+            lengths = [0, *(n for n, _ in _lengths(tup, f, max_weight))]
+        else:
+            lengths = [length]
         acc = 0
-        n = 0
-        while True:
-            mw = min_weight(tup, f, n)
-            if mw is not None and mw > max_weight:
-                if n >= 1:
-                    break
-            elif mw is not None:
-                acc += _count_family_length(tup, f, n, max_weight)
-            n += 1
+        for n in lengths:
+            if n == 0:
+                acc += {"first": 2, "second": 1}.get(f, 0) if max_weight >= 1 else 0
+            elif f in _POWER_KIND:
+                acc += len(_power_weights(tup, f, n, max_weight))
+            else:
+                acc += _count_headed(tup, f, n, max_weight)
         out[f] = acc
     return out if family is None else out[family]
 
@@ -515,16 +513,7 @@ def _tail_vectors(tup: ParameterTuple, family: str, k: int, req: int):
         S, R = tup.materialize(i)
         caps = (p**S - 1, p**R - 1, p**R - 1)[:arity]
         W = tup.pivot_weight(i)
-        ranges = [range(c + 1) for c in caps]
-
-        def cells(idx, acc):
-            if idx == arity:
-                yield acc
-                return
-            for e in ranges[idx]:
-                yield from cells(idx + 1, acc + (e,))
-
-        for cell in cells(0, ()):
+        for cell in itertools.product(*(range(c + 1) for c in caps)):
             d = sum(cell) * W
             for rest in rec(i - 1, need - d):
                 yield rest + (cell,)
@@ -545,45 +534,31 @@ def enumerate_descriptors(
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}")
     found: list[tuple[int, MonomialDescriptor]] = []
-    p = tup.p
     for f in fams:
         if f == "first":
             found.append((1, MonomialDescriptor("first", 0, (0,))))
             found.append((1, MonomialDescriptor("first", 0, (1,))))
         elif f == "second":
             found.append((1, MonomialDescriptor("second", 0, (0,))))
-        n = 1
-        while True:
-            mw = min_weight(tup, f, n)
-            if mw is None or mw > max_weight:
-                break
+        for n, W in _lengths(tup, f, max_weight):
             if f in _POWER_KIND:
-                S, R = tup.materialize(n - 1)
-                bound = S if f == "power_v" else R
-                W = tup.pivot_weight(n - 1)
-                val = W
-                for mm in range(1, bound + 1):
-                    val *= p
-                    if val > max_weight:
-                        break
-                    found.append((val, MonomialDescriptor(f, n, (mm,))))
-            else:
-                W = tup.pivot_weight(n - 1)
-                P, Q = _head_box(tup, f, n)
-                for xi in range(P):
-                    for et in range(Q):
-                        if f == "first" and xi == P - 1 and et == Q - 1:
-                            continue
-                        hw = (xi + et + 2) * W
-                        req = hw - max_weight
-                        for tail in _tail_vectors(tup, f, n - 1, req):
-                            d = MonomialDescriptor(f, n, (xi, et), tail)
-                            wt = hw - sum(
-                                sum(cell) * tup.pivot_weight(i)
-                                for i, cell in enumerate(tail)
-                            )
-                            found.append((wt, d))
-            n += 1
+                for j, val in enumerate(_power_weights(tup, f, n, max_weight), 1):
+                    found.append((val, MonomialDescriptor(f, n, (j,))))
+                continue
+            P, Q = _head_box(tup, f, n)
+            for xi in range(P):
+                for et in range(Q):
+                    if f == "first" and xi == P - 1 and et == Q - 1:
+                        continue
+                    hw = (xi + et + 2) * W
+                    req = hw - max_weight
+                    for tail in _tail_vectors(tup, f, n - 1, req):
+                        d = MonomialDescriptor(f, n, (xi, et), tail)
+                        wt = hw - sum(
+                            sum(cell) * tup.pivot_weight(i)
+                            for i, cell in enumerate(tail)
+                        )
+                        found.append((wt, d))
     found.sort(key=lambda t: (t[0], t[1].sort_key()))
     return iter(d for _, d in found)
 
@@ -601,34 +576,34 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
     """Per-family counts at every exact weight 1..M, or None if unsuited.
 
     numpy int64 convolution; only used when every per-length family total
-    fits comfortably below 2^40 so no intermediate can overflow, and the
-    final cumulative row is cross-checked against the big-integer engine.
+    fits comfortably below 2^40 so no intermediate can overflow.
     """
     if M > _DENSE_ROW_CAP:
         return None
-    p = tup.p
     out = {f: np.zeros(M + 1, dtype=np.int64) for f in FAMILIES}
     if M >= 1:
         out["first"][1] = 2
         out["second"][1] = 1
     for fam in ("first", "second"):
         eng = _engine(tup, fam)
+        arr = out[fam]
         dist = np.ones(1, dtype=np.int64)  # deficiency distribution, k = 0
-        n = 1
-        while True:
-            mw = min_weight(tup, fam, n)
-            if mw > M:
-                break
+        for n, W in _lengths(tup, fam, M):
             k = n - 1
-            if eng.total(k) > _DENSE_COUNT_GUARD:
+            if eng.total(k) > _DENSE_COUNT_GUARD or eng.dmax(k) > 4 * _DENSE_ROW_CAP:
                 return None
-            W = tup.pivot_weight(k)
-            dist = _dense_dist(tup, fam, k)
-            if dist is None:
-                return None
+            if k:
+                # Fold in generation k-1.  Its kernel is supported on multiples
+                # of W_{k-1} only, so a handful of shifted adds beats a dense
+                # convolution.
+                Wk = tup.pivot_weight(k - 1)
+                prev, dist = dist, np.zeros(eng.dmax(k) + 1, dtype=np.int64)
+                for s in range(eng._caps[k - 1] + 1):
+                    c = eng.ker_point(k - 1, s)
+                    if c:
+                        dist[s * Wk : s * Wk + len(prev)] += c * prev
             P, Q = _head_box(tup, fam, n)
             smax = (P - 1) + (Q - 1)
-            arr = out[fam]
             s_hi = min(smax, (M + eng.dmax(k)) // W - 2)
             for s in range(0, s_hi + 1):
                 c = _box2_prefix(s, P, Q) - _box2_prefix(s - 1, P, Q)
@@ -644,55 +619,11 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
                     continue
                 seg = dist[d_lo : d_hi + 1][::-1]  # weights hw-d_hi .. hw-d_lo
                 arr[hw - d_hi : hw - d_lo + 1] += c * seg
-            n += 1
-    for fam in ("power_v", "power_w", "power_u"):
-        arr = out[fam]
-        n = 1
-        while True:
-            mw = min_weight(tup, fam, n)
-            if mw is None or mw > M:
-                break
-            S, R = tup.materialize(n - 1)
-            bound = S if fam == "power_v" else R
-            val = tup.pivot_weight(n - 1)
-            for _ in range(1, bound + 1):
-                val *= p
-                if val > M:
-                    break
-                arr[val] += 1
-            n += 1
+    for fam in _POWER_KIND:
+        for n, _ in _lengths(tup, fam, M):
+            for val in _power_weights(tup, fam, n, M):
+                out[fam][val] += 1
     return out
-
-
-_DENSE_DIST_CACHE: dict[tuple[ParameterTuple, str, int], np.ndarray] = {}
-
-
-def _dense_dist(tup: ParameterTuple, fam: str, k: int):
-    """Deficiency distribution over generations 0..k-1 as an int64 array."""
-    key = (tup, fam, k)
-    cached = _DENSE_DIST_CACHE.get(key)
-    if cached is not None:
-        return cached
-    eng = _engine(tup, fam)
-    if eng.total(k) > _DENSE_COUNT_GUARD or eng.dmax(k) > 4 * _DENSE_ROW_CAP:
-        return None
-    if k == 0:
-        dist = np.ones(1, dtype=np.int64)
-    else:
-        prev = _dense_dist(tup, fam, k - 1)
-        if prev is None:
-            return None
-        W = tup.pivot_weight(k - 1)
-        cap = eng._caps[k - 1]
-        # The kernel is supported on multiples of W only, so a handful of
-        # shifted adds beats a dense convolution.
-        dist = np.zeros(len(prev) + cap * W, dtype=np.int64)
-        for s in range(cap + 1):
-            c = eng.ker_point(k - 1, s)
-            if c:
-                dist[s * W : s * W + len(prev)] += c * prev
-    _DENSE_DIST_CACHE[key] = dist
-    return dist
 
 
 @dataclass
@@ -835,9 +766,14 @@ def growth_table(
                 pf = int(cum["power_v"][m] + cum["power_w"][m])
                 ps = int(cum["power_u"][m])
                 rows.append((m, fi, se, pf, ps, fi + se + pf + ps))
-            check = _cumulative_at(tup, max_weight)
-            if rows[-1][1:5] != check:
-                raise RuntimeError("counting engines disagree")
+            # Cross-check every pivot-ladder weight below max_weight, then
+            # the last row, against the big-integer engine.
+            for n in itertools.count():
+                m = min(tup.pivot_weight(n), max_weight)
+                if rows[m - 1][1:5] != _cumulative_at(tup, m):
+                    raise RuntimeError("counting engines disagree")
+                if m == max_weight:
+                    break
             return GrowthTable(p=tup.p, tuple_spec=tup.spec, rows=rows)
     else:
         ms = sorted(set(int(w) for w in weights))

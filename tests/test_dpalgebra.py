@@ -68,6 +68,21 @@ def test_exponent_bounds_follow_rule():
     assert ctx.exponent_bound(names["z0"]) == 8
 
 
+def test_level_bounds_read_the_context_table(monkeypatch):
+    tup = ParameterTuple.explicit(3, [(2, 1), (1, 3)])
+    ctx = DpContext(tup, 2)
+    assert ctx.levels == (2, 1, 1, 1, 3, 3)
+    assert ctx.bounds == tuple(3**e for e in ctx.levels)
+
+    def no_materialize(n):
+        pytest.fail("level_bound must not re-materialize the tuple")
+
+    monkeypatch.setattr(tup, "materialize", no_materialize)
+    assert [ctx.level_bound(v) for v in ctx.variables()] == list(ctx.levels)
+    with pytest.raises(ValueError, match="outside depth-2 context"):
+        ctx.level_bound((2, 0))
+
+
 # ---------------------------------------------------------------------------
 # products
 

@@ -2,7 +2,10 @@
 
 import json
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,8 @@ from cloverlie import (
     monomial_weight,
     realize,
 )
-from cloverlie.monomials import validate_descriptor
+from cloverlie import monomials
+from cloverlie.monomials import FAMILIES, validate_descriptor
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
 TUP3 = ParameterTuple.constant(3, 1, 1)
@@ -159,6 +163,73 @@ def test_large_table_cross_engine():
     t = growth_table(TUP2, 2187)
     assert t.gamma(2187) == sum(count_descriptors(TUP2, 2187).values())
     assert t.gamma(27) == 318
+
+
+def test_dense_rows_match_count_at_every_weight():
+    # the dense int64 path against the big-integer engine at every row
+    rng = random.Random(20261018)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5))
+        tup = ParameterTuple.explicit(
+            p, [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(8)]
+        )
+        M = rng.randint(1, 300)
+        dense = monomials._dense_exact_rows(tup, M)
+        assert dense is not None
+        cum = {f: np.cumsum(dense[f]) for f in FAMILIES}
+        for m in range(1, M + 1):
+            counts = count_descriptors(tup, m)
+            assert {f: int(cum[f][m]) for f in FAMILIES} == counts, (tup, m)
+
+
+def test_dense_rows_cross_checked_at_pivot_weights(monkeypatch):
+    real = monomials._dense_exact_rows
+
+    def corrupted(tup, M):
+        # off by one at the pivot weight W_2 = 9 only: the last row is intact
+        out = real(tup, M)
+        out["first"][9] += 1
+        out["first"][10] -= 1
+        return out
+
+    monkeypatch.setattr(monomials, "_dense_exact_rows", corrupted)
+    with pytest.raises(RuntimeError, match="counting engines disagree"):
+        growth_table(TUP2, 100)
+
+
+def test_engine_cache_bounded_and_thread_safe():
+    monomials._engine.cache_clear()
+    for S in range(1, 21):
+        count_descriptors(ParameterTuple.constant(2, S, 1), 10**6)
+    info = monomials._engine.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+
+    # four threads race one fresh tuple and engine, five times over
+    pattern = [(1, 2), (2, 1), (1, 1)]
+    m = 10**400
+    serial = count_descriptors(ParameterTuple.periodic(3, pattern), m)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monomials._engine.cache_clear()
+            tup = ParameterTuple.periodic(3, pattern)
+            start = threading.Barrier(4)
+            results = []
+
+            def count():
+                start.wait(timeout=60)
+                results.append(count_descriptors(tup, m))
+
+            threads = [threading.Thread(target=count) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_checkpoint_weights():

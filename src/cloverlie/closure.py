@@ -19,6 +19,7 @@ import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .params import ParameterTuple
 from .dpalgebra import AlgebraElement, ContextMismatchError, DpContext, DpMonomial
@@ -56,8 +57,9 @@ __all__ = [
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One check outcome; an immutable, hashable tuple in field order."""
+
     suite: str
     check_id: str
     params: tuple[tuple[str, object], ...]
@@ -84,13 +86,7 @@ class VerificationReport:
 
     def add(self, check_id: str, status: str, witness: str | None = None, **params):
         self.records.append(
-            CheckRecord(
-                suite=self.suite,
-                check_id=check_id,
-                params=tuple(sorted(params.items())),
-                status=status,
-                witness=witness,
-            )
+            CheckRecord(self.suite, check_id, tuple(sorted(params.items())), status, witness)
         )
 
     def check(self, check_id: str, ok: bool, witness: Callable[[], str] = str, **params):
@@ -786,14 +782,8 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
             period=period,
         )
     shifted = relation_suite(tup, depth, base_index=period)
-    for r in shifted.records:
-        rep.records.append(
-            CheckRecord(
-                suite=rep.suite,
-                check_id=f"shifted-{r.check_id}",
-                params=r.params,
-                status=r.status,
-                witness=r.witness,
-            )
-        )
+    rep.records += [
+        r._replace(suite=rep.suite, check_id=f"shifted-{r.check_id}")
+        for r in shifted.records
+    ]
     return rep

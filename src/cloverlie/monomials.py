@@ -408,11 +408,11 @@ def _power_weights(tup: ParameterTuple, family: str, n: int, m: int) -> list[int
     return weights
 
 
-def _count_headed(tup: ParameterTuple, family: str, n: int, m: int) -> int:
-    """Length-n descriptors of family first/second with weight <= m (n >= 1)."""
+def _count_headed(eng: _TailEngine, n: int, m: int) -> int:
+    """Length-n descriptors of the engine's family with weight <= m (n >= 1)."""
     if m < 1:
         return 0
-    eng = _engine(tup, family)
+    tup, family = eng.tup, eng.family
     k = n - 1
     W = tup.pivot_weight(k)
     dmax = eng.dmax(k)
@@ -455,6 +455,7 @@ def count_descriptors(
             raise ValueError(f"unknown family {f!r}")
     out = {}
     for f in fams:
+        eng = None if f in _POWER_KIND else _engine(tup, f)
         if length is None:
             lengths = [0, *(n for n, _ in _lengths(tup, f, max_weight))]
         else:
@@ -466,7 +467,7 @@ def count_descriptors(
             elif f in _POWER_KIND:
                 acc += len(_power_weights(tup, f, n, max_weight))
             else:
-                acc += _count_headed(tup, f, n, max_weight)
+                acc += _count_headed(eng, n, max_weight)
         out[f] = acc
     return out if family is None else out[family]
 
@@ -626,12 +627,24 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
     return out
 
 
+_CSV_COLUMNS = (
+    "m",
+    "gamma_total",
+    "first",
+    "second",
+    "power_first",
+    "power_second",
+    "log_gamma_over_log_m",
+)
+
+
 @dataclass
 class GrowthTable:
     """Cumulative per-family basis counts by weight.
 
     rows: (m, first, second, power_first, power_second, total) with every
     count cumulative (weight <= m) and total = sum of the four columns.
+    Every cell is a plain Python int, never a numpy scalar.
     """
 
     p: int
@@ -661,40 +674,22 @@ class GrowthTable:
         return [row[0] for row in self.rows]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        wr = csv.writer(buf)
-        wr.writerow(
-            [
-                "m",
-                "gamma_total",
-                "first",
-                "second",
-                "power_first",
-                "power_second",
-                "log_gamma_over_log_m",
-            ]
-        )
-        for m, fi, se, pf, ps, tot in self.rows:
-            ratio = ""
-            if m > 1 and tot > 0:
-                ratio = f"{math.log(tot) / math.log(m):.12g}"
-            wr.writerow([m, tot, fi, se, pf, ps, ratio])
-        return buf.getvalue()
+        """CSV text, byte for byte what ``csv.writer`` writes (no cell needs quoting)."""
+        lines = [",".join(_CSV_COLUMNS)]
+        lines += [
+            f"{m},{tot},{fi},{se},{pf},{ps},{math.log(tot) / math.log(m):.12g}"
+            if m > 1 and tot > 0
+            else f"{m},{tot},{fi},{se},{pf},{ps},"
+            for m, fi, se, pf, ps, tot in self.rows
+        ]
+        lines.append("")
+        return "\r\n".join(lines)
 
     @classmethod
     def from_csv(cls, text: str, p: int = 0, tuple_spec: str = "") -> "GrowthTable":
         rd = csv.reader(io.StringIO(text))
         header = next(rd)
-        expected = [
-            "m",
-            "gamma_total",
-            "first",
-            "second",
-            "power_first",
-            "power_second",
-            "log_gamma_over_log_m",
-        ]
-        if [h.strip() for h in header] != expected:
+        if tuple(h.strip() for h in header) != _CSV_COLUMNS:
             raise ValueError("unrecognized growth table header")
         rows = []
         for rec in rd:
@@ -717,9 +712,7 @@ class GrowthTable:
                     "power_second",
                     "gamma_total",
                 ],
-                "rows": [
-                    [m, fi, se, pf, ps, tot] for m, fi, se, pf, ps, tot in self.rows
-                ],
+                "rows": self.rows,
             }
         )
 
@@ -755,17 +748,16 @@ def growth_table(
                 f"table too large: {max_weight} rows exceed cap {row_cap}; "
                 "pass explicit checkpoint weights"
             )
-        ms = list(range(1, max_weight + 1))
+        ms = range(1, max_weight + 1)
         dense = _dense_exact_rows(tup, max_weight)
         if dense is not None:
-            cum = {f: np.cumsum(dense[f]) for f in FAMILIES}
-            rows = []
-            for m in ms:
-                fi = int(cum["first"][m])
-                se = int(cum["second"][m])
-                pf = int(cum["power_v"][m] + cum["power_w"][m])
-                ps = int(cum["power_u"][m])
-                rows.append((m, fi, se, pf, ps, fi + se + pf + ps))
+            # Column-wise over weights 1..M; the int64 totals are safe by the
+            # same M^3 bound as _DENSE_ROW_CAP.  tolist() yields Python ints.
+            cum = {f: np.cumsum(dense[f][1:]) for f in FAMILIES}
+            fi, se = cum["first"], cum["second"]
+            pf, ps = cum["power_v"] + cum["power_w"], cum["power_u"]
+            cols = (fi, se, pf, ps, fi + se + pf + ps)
+            rows = list(zip(ms, *(c.tolist() for c in cols)))
             # Cross-check every pivot-ladder weight below max_weight, then
             # the last row, against the big-integer engine.
             for n in itertools.count():

@@ -1,5 +1,6 @@
 """Growth analytics: exponent formulas, density, sandwich bounds, fitting."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -101,6 +102,18 @@ def test_sandwich_periodic_rule():
     tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
     rep = check_growth_sandwich(tup, growth_table(tup, 200))
     assert rep.passed
+
+
+def test_sandwich_golden_bytes():
+    # digests taken while check records were frozen dataclasses
+    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
+    rep = check_growth_sandwich(tup, growth_table(tup, 5000))
+    assert hashlib.sha256(rep.to_json_lines().encode()).hexdigest() == (
+        "90b9d6c861c9b030cb41219ab1ed858b8d0bddff5b7178374aad884c2301202c"
+    )
+    assert hashlib.sha256(rep.summary().encode()).hexdigest() == (
+        "e6531a01212b7bafadfdf241973ffa8f65b1244b12c7bbf195dc6e7ac3a282f5"
+    )
 
 
 def test_sandwich_rejects_mismatched_table():

@@ -19,8 +19,10 @@ from cloverlie import (
     verify_basis_theorem,
     verify_grading,
     VerificationReport,
+    check_growth_sandwich,
+    growth_table,
 )
-from cloverlie.closure import _standard_generators
+from cloverlie.closure import CheckRecord, _standard_generators
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
 TUP3 = ParameterTuple.constant(3, 1, 1)
@@ -101,6 +103,39 @@ def test_witness_rendered_only_on_failure():
     lines = [json.loads(line) for line in rep.to_json_lines().splitlines()]
     assert [line["witness"] for line in lines] == [None, "lhs=1 rhs=2"]
     assert "    witness: lhs=1 rhs=2" in rep.summary().splitlines()
+
+
+def test_check_record_contract(monkeypatch):
+    rep = VerificationReport(suite="demo")
+    rep.check("breaks", False, witness=lambda: "lhs=1 rhs=2", k=3, i=1)
+    rec = rep.records[0]
+    assert type(rec)._fields == ("suite", "check_id", "params", "status", "witness")
+    assert tuple(rec) == ("demo", "breaks", (("i", 1), ("k", 3)), "fail", "lhs=1 rhs=2")
+    with pytest.raises(AttributeError):
+        rec.status = "pass"
+    assert hash(rec) == hash(CheckRecord(*rec))
+    assert rec.to_json() == (
+        '{"check": "breaks", "params": {"i": 1, "k": 3}, "status": "fail", '
+        '"suite": "demo", "witness": "lhs=1 rhs=2"}'
+    )
+
+    # every check goes through add, the one record constructor
+    calls = {"add": 0, "check": 0}
+
+    def count_calls(name):
+        method = getattr(VerificationReport, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(VerificationReport, name, counted)
+
+    count_calls("add")
+    count_calls("check")
+    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
+    rep = check_growth_sandwich(tup, growth_table(tup, 300))
+    assert calls["add"] == calls["check"] == len(rep.records) == 600
 
 
 def _sha256(text: str) -> str:

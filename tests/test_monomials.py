@@ -1,6 +1,10 @@
 """Basis-monomial bookkeeping: counting, enumeration, and growth tables."""
 
+import csv
+import hashlib
+import io
 import json
+import math
 import random
 import sys
 import threading
@@ -264,3 +268,75 @@ def test_json_payload():
     assert obj["tuple"] == TUP2.spec
     assert obj["columns"][0] == "m" and obj["columns"][-1] == "gamma_total"
     assert obj["rows"][0] == [1, 2, 1, 0, 0, 3]
+
+
+def test_count_fetches_each_engine_once(monkeypatch):
+    lookups = []
+    engine = monomials._engine
+
+    def counted(tup, family):
+        lookups.append(family)
+        return engine(tup, family)
+
+    monkeypatch.setattr(monomials, "_engine", counted)
+    count_descriptors(ParameterTuple.kappa(2, "1/2"), 10**200)
+    assert sorted(lookups) == ["first", "second"]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_growth_table_golden_bytes():
+    # digests of the rendered tables, taken before rows became column-wise
+    kappa = ParameterTuple.kappa(2, "1/2")
+    checkpoints = [10**j for j in range(1, 201)]
+    assert _sha256(growth_table(TUP2, 3000).to_csv()) == (
+        "27d896af7062948d3607eff6954be71709f59bbe8edaedbe114124d0a8e06ef7"
+    )
+    assert _sha256(growth_table(TUP3, 3000).to_json()) == (
+        "78a31851566e6c0e3806e375265c84dedbdee22d71b056b9ec10efc2be37dd04"
+    )
+    assert _sha256(growth_table(kappa, 10**200, weights=checkpoints).to_csv()) == (
+        "f1d2ca980dcfbd359333b8a0a395f333e9dc4ea2e0a0586106ff6b7849a84af9"
+    )
+
+
+def _reference_csv(table: GrowthTable) -> str:
+    """The csv.writer rendering, one writerow call per row."""
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(
+        [
+            "m",
+            "gamma_total",
+            "first",
+            "second",
+            "power_first",
+            "power_second",
+            "log_gamma_over_log_m",
+        ]
+    )
+    for m, fi, se, pf, ps, tot in table.rows:
+        ratio = ""
+        if m > 1 and tot > 0:
+            ratio = f"{math.log(tot) / math.log(m):.12g}"
+        wr.writerow([m, tot, fi, se, pf, ps, ratio])
+    return buf.getvalue()
+
+
+def test_csv_matches_csv_writer_reference():
+    dense = growth_table(TUP3, 2000)
+    checkpoint = growth_table(
+        ParameterTuple.kappa(2, "1/2"), 10**300, weights=[2, 10**50, 10**300]
+    )
+    one_row = growth_table(TUP2, 1)
+    assert one_row.to_csv().endswith("\r\n1,3,2,1,0,0,\r\n")
+    for table in (dense, checkpoint, one_row):
+        text = table.to_csv()
+        assert text == _reference_csv(table)
+        assert GrowthTable.from_csv(text, p=table.p, tuple_spec=table.tuple_spec).rows == (
+            table.rows
+        )
+    assert all(type(v) is int for row in dense.rows for v in row)
+    assert json.loads(dense.to_json())["rows"] == [list(row) for row in dense.rows]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .params import ParameterTuple
-from .dpalgebra import AlgebraElement, ContextMismatchError, DpContext, DpMonomial
+from .dpalgebra import AlgebraElement, ContextMismatchError, DpContext
 from .derivations import (
     Derivation,
     ad_power,
@@ -132,30 +132,13 @@ class VerificationReport:
 # -- echelonized graded basis ------------------------------------------------------
 
 
-def _derivation_to_vec(D: Derivation) -> dict:
-    """Coordinates keyed (variable, level, degree, exponent vector); echelon
-    rows lead with the least key in this order."""
-    out = {}
-    for (var, level), f in D.coeffs.items():
-        for mono, c in f.terms.items():
-            out[(var, level, sum(mono.exps), mono.exps)] = c
-    return out
-
-
-def _vec_to_derivation(ctx: DpContext, vec: dict) -> Derivation:
-    coeffs: dict = {}
-    for (var, level, _deg, exps), c in vec.items():
-        coeffs.setdefault((var, level), {})[DpMonomial(exps)] = c
-    res = Derivation(ctx)
-    for key, monos in coeffs.items():
-        el = AlgebraElement(ctx)
-        el.terms = monos
-        res.coeffs[key] = el
-    return res
-
-
 class _Echelon:
-    """Reduced echelon rows over F_p keyed by their leading coordinate."""
+    """Reduced echelon rows over F_p keyed by their leading coordinate.
+
+    A row is a dict in the derivation layout {(var, level, degree, exps): c},
+    so ``Derivation.terms`` is a row as it stands and the lead is its least
+    key.  Arguments are copied; ``insert`` reduces the stored rows in place.
+    """
 
     __slots__ = ("p", "rows")
 
@@ -215,7 +198,8 @@ class GradedBasis:
         self.ctx = ctx
         self.cap = cap
         self.components: dict[tuple[int, int, int], _Echelon] = {}
-        # insertion-ordered: (multidegree, canonical reduced vector)
+        # insertion-ordered (multidegree, vector) pairs; each vector wraps a
+        # copy of its echelon row as it was at insertion
         self.vectors: list[tuple[tuple[int, int, int], Derivation]] = []
 
     def _echelon(self, md) -> _Echelon:
@@ -225,10 +209,11 @@ class GradedBasis:
         return ech
 
     def insert(self, md, D: Derivation) -> bool:
-        row = self._echelon(md).insert(_derivation_to_vec(D))
+        row = self._echelon(md).insert(D.terms)
         if row is None:
             return False
-        self.vectors.append((md, _vec_to_derivation(self.ctx, row)))
+        # _of copies the row, which later inserts reduce in place
+        self.vectors.append((md, Derivation._of(self.ctx, row)))
         return True
 
     def dims_by_multidegree(self) -> dict[tuple[int, int, int], int]:
@@ -253,7 +238,7 @@ def _span_member(components: dict, parts: dict) -> bool:
     """Whether every graded part lies in the echelon of its multidegree."""
     for md, part in parts.items():
         ech = components.get(md)
-        if ech is None or not ech.member(_derivation_to_vec(part)):
+        if ech is None or not ech.member(part.terms):
             return False
     return True
 
@@ -534,8 +519,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 witness=lambda: f"descriptor={d} predicted={md} actual={actual}",
                 descriptor=str(d),
             )
-            vec = _derivation_to_vec(D)
-            if indep.insert(vec) is None:
+            if indep.insert(D.terms) is None:
                 indep_ok = False
                 rep.check(
                     "realize-independence", False,
@@ -547,7 +531,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 span, vecs = second_span, second_vecs
             if md not in span:
                 span[md] = _Echelon(p)
-            span[md].insert(vec)
+            span[md].insert(D.terms)
             vecs.append((md, D))
     if indep_ok:
         rep.check("realize-independence", True, count=sum(map(len, by_md.values())))
@@ -719,10 +703,11 @@ def sample_nil_chains(
     p = tup.p
     budgets = [max(1, cap // (p * p)), max(1, cap // p), cap]
     weightsq = [6, 3, 1]
+    weights = [sum(md) for md, _D in basis.vectors]
+    pools = {b: [i for i, w in enumerate(weights) if w <= b] for b in budgets}
     results = []
     for _ in range(samples):
-        budget = rng.choices(budgets, weights=weightsq, k=1)[0]
-        pool = [i for i, (md, _r) in enumerate(basis.vectors) if sum(md) <= budget]
+        pool = pools[rng.choices(budgets, weights=weightsq, k=1)[0]]
         k = rng.randint(1, max_terms)
         picks = [rng.choice(pool) for _ in range(min(k, len(pool)))]
         e = Derivation.zero(ctx)
@@ -771,8 +756,8 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
         tail = pivot(ctx, kind, period).lmul(AlgebraElement.monomial(ctx, corner))
         head = pivot(ctx, kind, 0) - tail
         ok = not any(
-            var[0] >= period or any(any(mono.exps[3 * period:]) for mono in f.terms)
-            for (var, _level), f in head.coeffs.items()
+            var[0] >= period or any(exps[3 * period:])
+            for var, _level, _deg, exps in head.terms
         )
         rep.check(
             "head-decomposition",

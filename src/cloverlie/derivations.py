@@ -1,19 +1,25 @@
 """Derivations of the truncated algebra, brackets, and exact p-th powers.
 
-A derivation is stored as a finite sum  Σ f · ∂_a^{p^m}  with f an
-AlgebraElement, a a variable id and 0 <= m < level_bound(a).  In
-characteristic p every shift ∂_a^{p^m} obeys the Leibniz rule, all shifts
-commute with each other, and every derivation of the truncated algebra is
-of this shape — so the commutator has the closed form
+A derivation is a finite sum  Σ c · t^{(e)} · ∂_a^{p^m}  with c in F_p, t^{(e)}
+a basis monomial, a a variable id and 0 <= m < level_bound(a), stored as one
+flat dict ``terms`` from ``(var, level, degree, exps)`` = (a, m, sum(e), e) to
+c != 0.  The closure's echelon uses the same keys as coordinates: sorted keys
+give the rendering order and ``min`` the echelon lead.  In characteristic p
+every shift ∂_a^{p^m} obeys the Leibniz rule, all shifts commute with each
+other, and every derivation of the truncated algebra is of this shape — so
+the commutator has the closed form
 
     [f·∂_A, g·∂_B] = f·∂_A(g)·∂_B − g·∂_B(f)·∂_A,
 
-and the p-fold composition D∘…∘D is again of this shape and can be
-reconstructed from its values on the generator monomials t_a^{(p^j)}
-by a triangular elimination.
+which costs one exponent test, one tuple splice and one monomial product per
+pair of terms.  The p-fold composition D∘…∘D is again of this shape and is
+reconstructed from its values on the generator monomials t_a^{(p^j)} by a
+triangular elimination.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .dpalgebra import (
     AXES,
@@ -21,6 +27,8 @@ from .dpalgebra import (
     ContextMismatchError,
     DpContext,
     DpMonomial,
+    _mul_exps,
+    binom_mod_p,
     dp_basis,
 )
 
@@ -43,34 +51,49 @@ _KIND_TAIL_AXES = {"v": (0, 1), "w": (1, 0), "u": (2, 0)}
 
 
 class Derivation:
-    """Finite sum of f·∂_a^{p^m} terms over a fixed truncation context."""
+    """Finite sum of c·t^{(e)}·∂_a^{p^m} terms over a fixed truncation context."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: DpContext, coeffs: dict | None = None):
+    def __init__(self, ctx: DpContext, terms: dict | None = None):
+        """Validate every ``(var, level, degree, exps)`` key; drop zero terms."""
         self.ctx = ctx
-        self.coeffs: dict[tuple[tuple[int, int], int], AlgebraElement] = {}
-        if coeffs:
-            for key, f in coeffs.items():
-                if not f.is_zero():
-                    var, level = key
-                    if not (0 <= level < ctx.level_bound(var)):
-                        raise ValueError(
-                            f"shift level {level} of {ctx.var_name(var)} outside "
-                            f"0..{ctx.level_bound(var) - 1}"
-                        )
-                    self.coeffs[key] = f
+        self.terms: dict[tuple, int] = {}
+        bounds = ctx.bounds
+        for key, c in (terms or {}).items():
+            var, level, degree, exps = key
+            i = ctx.index(var)
+            if not 0 <= level < ctx.levels[i]:
+                raise ValueError(
+                    f"shift level {level} of {ctx.var_name(var)} outside "
+                    f"0..{ctx.levels[i] - 1}"
+                )
+            if len(exps) != len(bounds) or any(not 0 <= e < b for e, b in zip(exps, bounds)):
+                raise ValueError(f"exponent vector {exps} outside bounds {bounds}")
+            if degree != sum(exps):
+                raise ValueError(f"degree {degree} differs from sum of {exps}")
+            c %= ctx.p
+            if c:
+                self.terms[key] = c
+
+    @classmethod
+    def _of(cls, ctx: DpContext, terms: dict) -> "Derivation":
+        """Wrap a computed term dict, dropping zero coefficients; no key checks."""
+        res = cls.__new__(cls)
+        res.ctx = ctx
+        res.terms = {k: c for k, c in terms.items() if c}
+        return res
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: DpContext) -> "Derivation":
-        return cls(ctx)
+        return cls._of(ctx, {})
 
     @classmethod
     def shift(cls, ctx: DpContext, var: tuple[int, int], level: int = 0) -> "Derivation":
         """The bare operator ∂_var^{p^level}."""
-        return cls(ctx, {(var, level): AlgebraElement.one(ctx)})
+        return cls(ctx, {(var, level, 0, (0,) * len(ctx.bounds)): 1})
 
     # -- linear structure ----------------------------------------------------
 
@@ -80,97 +103,94 @@ class Derivation:
 
     def __add__(self, other: "Derivation") -> "Derivation":
         self._check(other)
-        out = dict(self.coeffs)
-        for key, g in other.coeffs.items():
-            s = out[key] + g if key in out else g
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = Derivation(self.ctx)
-        res.coeffs = out
-        return res
+        p = self.ctx.p
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = (out.get(key, 0) + c) % p
+        return Derivation._of(self.ctx, out)
 
     def __neg__(self) -> "Derivation":
-        res = Derivation(self.ctx)
-        res.coeffs = {k: -f for k, f in self.coeffs.items()}
-        return res
+        return self.scale(-1)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-other)
 
     def scale(self, c: int) -> "Derivation":
-        res = Derivation(self.ctx)
-        c %= self.ctx.p
-        if c:
-            res.coeffs = {k: f.scale(c) for k, f in self.coeffs.items()}
-        return res
+        p = self.ctx.p
+        c %= p
+        return Derivation._of(self.ctx, {k: v * c % p for k, v in self.terms.items()})
 
     def lmul(self, el: AlgebraElement) -> "Derivation":
         """Left-multiply every coefficient by an algebra element."""
         if el.ctx != self.ctx:
             raise ContextMismatchError("context mismatch")
-        out = {}
-        for key, f in self.coeffs.items():
-            g = el * f
-            if not g.is_zero():
-                out[key] = g
-        res = Derivation(self.ctx)
-        res.coeffs = out
-        return res
+        p, bounds = self.ctx.p, self.ctx.bounds
+        out: dict[tuple, int] = {}
+        for (var, level, _deg, exps), c in self.terms.items():
+            for mono, d in el.terms.items():
+                prod = _mul_exps(mono.exps, exps, bounds, p)
+                if prod:
+                    b, e = prod
+                    key = (var, level, sum(e), e)
+                    out[key] = (out.get(key, 0) + b * c * d) % p
+        return Derivation._of(self.ctx, out)
 
     # -- operator action -----------------------------------------------------
+
+    def _shifts(self) -> list:
+        """The terms grouped by shift: (index, p^level, [(exps, c), ...])."""
+        groups: dict[tuple[int, int], list] = {}
+        for ((g, a), level, _deg, exps), c in self.terms.items():
+            groups.setdefault((3 * g + a, self.ctx.p**level), []).append((exps, c))
+        return [(i, step, monos) for (i, step), monos in groups.items()]
 
     def apply(self, f: AlgebraElement) -> AlgebraElement:
         if f.ctx != self.ctx:
             raise ContextMismatchError("context mismatch")
-        acc = AlgebraElement.zero(self.ctx)
-        for (var, level), coeff in self.coeffs.items():
-            shifted = f.derive(var, level)
-            if not shifted.is_zero():
-                acc = acc + coeff * shifted
-        return acc
+        res = AlgebraElement(self.ctx)
+        image = _act(self.ctx, self._shifts(), {m.exps: c for m, c in f.terms.items()})
+        res.terms = {DpMonomial(e): c for e, c in image.items()}
+        return res
 
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Derivation)
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self):
         raise TypeError("Derivation is not hashable")
 
     def term_count(self) -> int:
-        return sum(len(f.terms) for f in self.coeffs.values())
+        return len(self.terms)
 
     def graded_components(self) -> dict[tuple[int, int, int], "Derivation"]:
-        """Split into homogeneous parts keyed by multidegree triple."""
+        """Split into homogeneous parts keyed by multidegree triple.
+
+        A term t^{(e)}·∂_a^{p^m} has p^m times the grade of ∂_a minus the
+        exponent-weighted grades of its monomial.
+        """
+        p, grades = self.ctx.p, self.ctx.grades
         parts: dict[tuple[int, int, int], dict] = {}
-        for (var, level), f in self.coeffs.items():
-            base = _shift_multidegree(self.ctx, var, level)
-            for mono, c in f.terms.items():
-                key = _add3(base, _monomial_multidegree(self.ctx, mono))
-                bucket = parts.setdefault(key, {})
-                slot = bucket.setdefault((var, level), {})
-                slot[mono] = c
-        out = {}
-        for key, bucket in parts.items():
-            res = Derivation(self.ctx)
-            for vk, monos in bucket.items():
-                el = AlgebraElement(self.ctx)
-                el.terms = monos
-                res.coeffs[vk] = el
-            out[key] = res
-        return out
+        for key, c in self.terms.items():
+            (g, a), level, _deg, exps = key
+            gv, gw, gu = grades[3 * g + a]
+            s = p**level
+            v, w, u = gv * s, gw * s, gu * s
+            for e, (ev, ew, eu) in zip(exps, grades):
+                if e:
+                    v, w, u = v - e * ev, w - e * ew, u - e * eu
+            parts.setdefault((v, w, u), {})[key] = c
+        return {md: Derivation._of(self.ctx, t) for md, t in parts.items()}
 
     def multidegree(self) -> tuple[int, int, int] | None:
         """Multidegree triple of a homogeneous derivation; None when zero."""
@@ -185,25 +205,25 @@ class Derivation:
         md = self.multidegree()
         return None if md is None else sum(md)
 
-    def sorted_terms(self):
-        """Deterministic term iteration: by (variable, level), then monomial."""
-        for key in sorted(self.coeffs):
-            f = self.coeffs[key]
-            yield key, f
+    def sorted_terms(self) -> list[tuple[tuple, int]]:
+        """Terms by (variable, level), then graded-lex by monomial."""
+        return sorted(self.terms.items())
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for (var, level), f in self.sorted_terms():
-            g, a = var
+        for ((g, a), level), group in itertools.groupby(
+            self.sorted_terms(), key=lambda t: t[0][:2]
+        ):
             sym = f"∂_{{{AXES[a]}{g}}}"
             if level:
                 sym += f"^{{p^{level}}}"
-            txt = f.render()
+            monos = [(DpMonomial(key[3]).render(), c) for key, c in group]
+            txt = " + ".join(m if c == 1 else f"{c}*{m}" for m, c in monos)
             if txt == "1":
                 parts.append(sym)
-            elif len(f.terms) == 1:
+            elif len(monos) == 1:
                 parts.append(f"{txt}·{sym}")
             else:
                 parts.append(f"({txt})·{sym}")
@@ -214,29 +234,6 @@ class Derivation:
 
     def __repr__(self) -> str:
         return f"Derivation({self.render()})"
-
-
-# -- multidegree helpers -----------------------------------------------------
-
-
-def _add3(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _shift_multidegree(ctx: DpContext, var: tuple[int, int], level: int):
-    """Multidegree of ∂_var^{p^level}: p^level times the grade of ∂_var."""
-    gv, gw, gu = ctx.grades[ctx.index(var)]
-    s = ctx.p ** level
-    return (gv * s, gw * s, gu * s)
-
-
-def _monomial_multidegree(ctx: DpContext, mono: DpMonomial):
-    """Multidegree of a divided-power monomial: minus exponent-weighted grades."""
-    v = w = u = 0
-    for e, (gv, gw, gu) in zip(mono.exps, ctx.grades):
-        if e:
-            v, w, u = v - e * gv, w - e * gw, u - e * gu
-    return (v, w, u)
 
 
 # -- pivots -------------------------------------------------------------------
@@ -259,15 +256,14 @@ def pivot(ctx: DpContext, kind: str, i: int) -> Derivation:
         raise ValueError("generation must be >= 0")
     axis = _KIND_AXIS[kind]
     ta, tb = _KIND_TAIL_AXES[kind]
-    res = Derivation(ctx)
-    prefix: dict[tuple[int, int], int] = {}
-    p = ctx.p
+    terms = {}
+    prefix = [0] * len(ctx.bounds)
     for j in range(i, N):
-        res.coeffs[((j, axis), 0)] = AlgebraElement.monomial(ctx, dict(prefix))
-        Sj, Rj = ctx.tup.materialize(j)
-        prefix[(j, ta)] = p ** (Sj if ta == 0 else Rj) - 1
-        prefix[(j, tb)] = p ** (Sj if tb == 0 else Rj) - 1
-    return res
+        exps = tuple(prefix)
+        terms[((j, axis), 0, sum(exps), exps)] = 1
+        for k in (3 * j + ta, 3 * j + tb):
+            prefix[k] = ctx.bounds[k] - 1
+    return Derivation._of(ctx, terms)
 
 
 def pivot_power(ctx: DpContext, kind: str, i: int, m: int) -> Derivation:
@@ -279,46 +275,41 @@ def pivot_power(ctx: DpContext, kind: str, i: int, m: int) -> Derivation:
     that collapse onto the next generation is left.
     """
     ta, tb = _KIND_TAIL_AXES[kind]
-    S, R = ctx.tup.materialize(i)
-    p = ctx.p
-    top = S if ta == 0 else R
-    res = Derivation.zero(ctx)
-    if m < top:
-        res = Derivation.shift(ctx, (i, ta), m)
-    exps = {(i, ta): p**top - p**m, (i, tb): p ** (S if tb == 0 else R) - 1}
-    exps = {var: e for var, e in exps.items() if e}
-    return res + pivot(ctx, kind, i + 1).lmul(AlgebraElement.monomial(ctx, exps))
+    a, b = ctx.index((i, ta)), ctx.index((i, tb))
+    res = Derivation.shift(ctx, (i, ta), m) if m < ctx.levels[a] else Derivation.zero(ctx)
+    tail = {(i, ta): ctx.bounds[a] - ctx.p**m, (i, tb): ctx.bounds[b] - 1}
+    return res + pivot(ctx, kind, i + 1).lmul(AlgebraElement.monomial(ctx, tail))
 
 
 # -- bracket and p-th power ----------------------------------------------------
 
 
 def bracket(D: Derivation, E: Derivation) -> Derivation:
-    """Commutator [D, E] of two derivations."""
+    """Commutator [D, E] of two derivations, one pair of terms at a time."""
     D._check(E)
     ctx = D.ctx
-    out: dict[tuple[tuple[int, int], int], AlgebraElement] = {}
-
-    def accumulate(key, el):
-        if el.is_zero():
-            return
-        s = out[key] + el if key in out else el
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    for (va, la), f in D.coeffs.items():
-        for (vb, lb), g in E.coeffs.items():
-            dg = g.derive(va, la)
-            if not dg.is_zero():
-                accumulate((vb, lb), f * dg)
-            df = f.derive(vb, lb)
-            if not df.is_zero():
-                accumulate((va, la), -(g * df))
-    res = Derivation(ctx)
-    res.coeffs = out
-    return res
+    p, bounds = ctx.p, ctx.bounds
+    right = [
+        (vb, lb, 3 * vb[0] + vb[1], p**lb, eb, cb)
+        for (vb, lb, _deg, eb), cb in E.terms.items()
+    ]
+    out: dict[tuple, int] = {}
+    for (va, la, _deg, ea), ca in D.terms.items():
+        ia, sa = 3 * va[0] + va[1], p**la
+        for vb, lb, ib, sb, eb, cb in right:
+            if eb[ia] >= sa:  # f·∂_A(g)·∂_B
+                prod = _mul_exps(ea, eb[:ia] + (eb[ia] - sa,) + eb[ia + 1:], bounds, p)
+                if prod:
+                    b, e = prod
+                    key = (vb, lb, sum(e), e)
+                    out[key] = (out.get(key, 0) + b * ca * cb) % p
+            if ea[ib] >= sb:  # − g·∂_B(f)·∂_A
+                prod = _mul_exps(eb, ea[:ib] + (ea[ib] - sb,) + ea[ib + 1:], bounds, p)
+                if prod:
+                    b, e = prod
+                    key = (va, la, sum(e), e)
+                    out[key] = (out.get(key, 0) - b * ca * cb) % p
+    return Derivation._of(ctx, out)
 
 
 def ad_power(D: Derivation, E: Derivation, k: int) -> Derivation:
@@ -331,40 +322,64 @@ def ad_power(D: Derivation, E: Derivation, k: int) -> Derivation:
     return acc
 
 
+def _act(ctx: DpContext, shifts: list, poly: dict) -> dict:
+    """D(f) for D given by its ``_shifts`` and f as {exps: c}, in the same form."""
+    p, bounds = ctx.p, ctx.bounds
+    out: dict[tuple, int] = {}
+    for i, step, monos in shifts:
+        for eb, cb in poly.items():
+            if eb[i] >= step:
+                eb = eb[:i] + (eb[i] - step,) + eb[i + 1:]
+                for ea, ca in monos:
+                    prod = _mul_exps(ea, eb, bounds, p)
+                    if prod:
+                        b, e = prod
+                        out[e] = (out.get(e, 0) + b * ca * cb) % p
+    return {e: c for e, c in out.items() if c}
+
+
 def p_power(D: Derivation, verify: bool = False) -> Derivation:
     """The p-th power D^{[p]} = D∘…∘D (p factors), reconstructed exactly.
 
     The composition is evaluated on every generator monomial t_a^{(p^j)} and
-    the coefficients are recovered by triangular elimination in j.  With
-    ``verify`` set, the result is checked against direct p-fold application
-    on the full monomial basis.
+    the coefficients are recovered by triangular elimination in j: the
+    coefficient f_j of ∂_a^{p^j} is the image minus f_i·t_a^{(p^j − p^i)}
+    for every i < j.  With ``verify`` set, the result is checked against
+    direct p-fold application on the full monomial basis.
     """
     ctx = D.ctx
-    p = ctx.p
+    p, bounds = ctx.p, ctx.bounds
+    shifts = D._shifts()
 
-    def compose_p(el: AlgebraElement) -> AlgebraElement:
+    def compose_p(poly: dict) -> dict:
         for _ in range(p):
-            el = D.apply(el)
-        return el
+            poly = _act(ctx, shifts, poly)
+        return poly
 
-    res = Derivation(ctx)
+    terms = {}
     for var in ctx.variables():
-        recovered: list[AlgebraElement] = []
-        for j in range(ctx.level_bound(var)):
-            image = compose_p(AlgebraElement.monomial(ctx, {var: p**j}))
-            f = image
+        a = ctx.index(var)
+        recovered: list[dict] = []
+        for j in range(ctx.levels[a]):
+            unit = [0] * len(bounds)
+            unit[a] = p**j
+            f = compose_p({tuple(unit): 1})
             for i, fi in enumerate(recovered):
-                if fi.is_zero():
-                    continue
-                step = AlgebraElement.monomial(ctx, {var: p**j - p**i})
-                f = f - fi * step
+                step = p**j - p**i
+                for e, c in fi.items():
+                    s = e[a] + step
+                    if s < bounds[a]:
+                        key = e[:a] + (s,) + e[a + 1:]
+                        f[key] = (f.get(key, 0) - binom_mod_p(s, step, p) * c) % p
+            f = {e: c for e, c in f.items() if c}
             recovered.append(f)
-            if not f.is_zero():
-                res.coeffs[(var, j)] = f
+            for e, c in f.items():
+                terms[(var, j, sum(e), e)] = c
+    res = Derivation._of(ctx, terms)
     if verify:
         for mono in dp_basis(ctx, cap=ctx.dimension()):
-            el = AlgebraElement(ctx, {mono: 1})
-            if res.apply(el) != compose_p(el):
+            el = {mono.exps: 1}
+            if _act(ctx, res._shifts(), el) != compose_p(el):
                 raise RuntimeError("p-power reconstruction failed")
     return res
 

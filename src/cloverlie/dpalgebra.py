@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .params import ParameterTuple
@@ -137,21 +138,19 @@ class DpMonomial:
         return self.render()
 
 
-def _mul_mono(ctx: DpContext, m1: DpMonomial, m2: DpMonomial):
-    """Product of two basis monomials: (coefficient mod p, monomial) or None."""
-    p = ctx.p
+def _mul_exps(a: tuple, b: tuple, bounds: tuple, p: int):
+    """Product of two basis monomials given as exponent vectors:
+    (coefficient mod p, exponent vector) or None when the product dies."""
     coeff = 1
-    out = []
-    for a, b, bound in zip(m1.exps, m2.exps, ctx.bounds):
-        s = a + b
-        if a and b:
+    for x, y, bound in zip(a, b, bounds):
+        if x and y:
+            s = x + y
             if s >= bound:
                 return None
-            coeff = coeff * binom_mod_p(s, a, p) % p
+            coeff = coeff * binom_mod_p(s, x, p) % p
             if coeff == 0:
                 return None
-        out.append(s)
-    return coeff, DpMonomial(tuple(out))
+    return coeff, tuple(map(operator.add, a, b))
 
 
 class AlgebraElement:
@@ -230,14 +229,15 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        p = self.ctx.p
+        p, bounds = self.ctx.p, self.ctx.bounds
         out: dict[DpMonomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                prod = _mul_mono(self.ctx, m1, m2)
+                prod = _mul_exps(m1.exps, m2.exps, bounds, p)
                 if prod is None:
                     continue
-                c, mono = prod
+                c, exps = prod
+                mono = DpMonomial(exps)
                 nc = (out.get(mono, 0) + c * c1 * c2) % p
                 if nc:
                     out[mono] = nc

@@ -22,7 +22,9 @@ from cloverlie import (
     check_growth_sandwich,
     growth_table,
 )
-from cloverlie.closure import CheckRecord, _standard_generators
+from cloverlie import closure
+from cloverlie.closure import CheckRecord, _standard_closure, _standard_generators
+from cloverlie.derivations import pivot_power
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
 TUP3 = ParameterTuple.constant(3, 1, 1)
@@ -155,6 +157,38 @@ def test_golden_outputs():
     assert _sha256(repr(chains)) == (
         "48f915b2eef3d5db8749a6a5ed0e05939fdc422f79478c81722b1209e06a5828"
     )
+
+
+def test_golden_renders(monkeypatch):
+    # digests of Derivation.render bytes, so a change of the derivation
+    # layout that moves a character of any rendered operator fails here
+    digests = []
+    for tup, depth in ((TUP2, 4), (TUP3, 3)):
+        _, basis = closure_at(tup, depth)
+        digests.append(_sha256("\n".join(f"{md} {D.render()}" for md, D in basis.vectors)))
+    ctx = DpContext(TUP2, 4)
+    lines = []
+    for kind in "vwu":
+        lines += [pivot(ctx, kind, i).render() for i in range(ctx.depth + 1)]
+        for i in range(ctx.depth):
+            S, R = TUP2.materialize(i)
+            top = S if kind == "v" else R
+            lines += [pivot_power(ctx, kind, i, m).render() for m in range(top + 1)]
+    assert len(lines) == 39
+    digests.append(_sha256("\n".join(lines)))
+    # a broken bracket makes the ideal checks fail, so their witnesses
+    # [Di,Dj]=res are rendered; the shared closure is built before the patch
+    _standard_closure(TUP3, 3)
+    monkeypatch.setattr(closure, "bracket", lambda D, E: D)
+    out = verify_basis_theorem(TUP3, 3).to_json_lines()
+    assert out.count('"fail"') == 307
+    digests.append(_sha256(out))
+    assert digests == [
+        "bb1ddf0554a793e96f425824c118cd5d20c8b5a7d665a65a97c086a70b608cee",
+        "04ad9800577b5540ec94169db02bc9fc25a82cc5921528fecd15a3ea29703526",
+        "6f489a48910a220a61139f0e985f266848e56542c2d6a3b195dfe5a0908057ec",
+        "c4a285b1722702c3471d9875e540522215fbc3bccd35fcad8e0ecd1d91ef5b49",
+    ]
 
 
 # ---------------------------------------------------------------------------

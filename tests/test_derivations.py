@@ -11,6 +11,7 @@ from cloverlie import (
     ContextMismatchError,
     Derivation,
     DpContext,
+    DpMonomial,
     ParameterTuple,
     ad_power,
     bracket,
@@ -209,3 +210,124 @@ def test_power_of_sum_closed_forms(rnd):
     D3 = random_zone_element(ctx3, tup3, tup3.trusted_weight_bound(3), rng)
     E3 = random_zone_element(ctx3, tup3, tup3.trusted_weight_bound(3), rng)
     assert jacobson_remainder(D3, E3) == bracket(E3, bracket(E3, D3))
+
+
+# ---------------------------------------------------------------------------
+# flat layout: key validation, and the nested arithmetic as a reference
+
+
+def test_constructor_keeps_valid_terms():
+    ctx = make_ctx(p=3, S=2, R=1, depth=2)
+    key = ((1, 0), 1, 1, (0, 1, 0, 0, 0, 0))
+    assert Derivation(ctx, {key: 5}).terms == {key: 2}
+    assert Derivation(ctx, {((0, 0), 0, 0, (0,) * 6): 3}).is_zero()
+    assert Derivation.shift(ctx, (1, 0), 1) == Derivation(ctx, {((1, 0), 1, 0, (0,) * 6): 1})
+
+
+ZERO6 = (0,) * 6
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((2, 0), 0, 0, ZERO6),  # generation outside the depth-2 context
+        ((0, 3), 0, 0, ZERO6),  # axis outside x, y, z
+        ((0, 1), 1, 0, ZERO6),  # y0 has a single shift level
+        ((0, 0), -1, 0, ZERO6),  # negative level
+        ((0, 0), 0, 9, (9, 0, 0, 0, 0, 0)),  # x0 exponents stay below 9
+        ((0, 0), 0, -1, (-1, 0, 0, 0, 0, 0)),  # negative exponent
+        ((0, 0), 0, 0, (0,) * 5),  # exponent vector of the wrong length
+        ((0, 0), 0, 2, (1, 0, 0, 0, 0, 0)),  # degree differs from the exponent sum
+    ],
+    ids=["variable", "axis", "level", "negative-level", "exponent",
+         "negative-exponent", "length", "degree"],
+)
+def test_constructor_rejects_bad_key(key):
+    ctx = make_ctx(p=3, S=2, R=1, depth=2)
+    with pytest.raises(ValueError):
+        Derivation(ctx, {key: 1})
+
+
+def nested(D):
+    """The {(var, level): AlgebraElement} coefficient form of a derivation."""
+    out = {}
+    for (var, level, _deg, exps), c in D.terms.items():
+        out.setdefault((var, level), AlgebraElement(D.ctx)).terms[DpMonomial(exps)] = c
+    return out
+
+
+def from_nested(ctx, coeffs):
+    return Derivation(ctx, {
+        (var, level, sum(m.exps), m.exps): c
+        for (var, level), f in coeffs.items()
+        for m, c in f.terms.items()
+    })
+
+
+def nested_bracket(F, G):
+    """[f·∂_A, g·∂_B] = f·∂_A(g)·∂_B − g·∂_B(f)·∂_A, summed coefficientwise."""
+    out = {}
+
+    def acc(key, el):
+        out[key] = out[key] + el if key in out else el
+
+    for (va, la), f in F.items():
+        for (vb, lb), g in G.items():
+            acc((vb, lb), f * g.derive(va, la))
+            acc((va, la), -(g * f.derive(vb, lb)))
+    return out
+
+
+def nested_apply(ctx, F, el):
+    acc = AlgebraElement.zero(ctx)
+    for (var, level), f in F.items():
+        acc = acc + f * el.derive(var, level)
+    return acc
+
+
+def nested_p_power(ctx, F):
+    p = ctx.p
+    out = {}
+    for var in ctx.variables():
+        recovered = []
+        for j in range(ctx.level_bound(var)):
+            f = AlgebraElement.monomial(ctx, {var: p**j})
+            for _ in range(p):
+                f = nested_apply(ctx, F, f)
+            for i, fi in enumerate(recovered):
+                f = f - fi * AlgebraElement.monomial(ctx, {var: p**j - p**i})
+            recovered.append(f)
+            out[(var, j)] = f
+    return out
+
+
+def random_terms(ctx, rng, k):
+    """k random terms with arbitrary shifts, levels and exponents."""
+    terms = {}
+    for _ in range(k):
+        var = rng.choice(ctx.variables())
+        exps = tuple(rng.randrange(b) if rng.random() < 0.4 else 0 for b in ctx.bounds)
+        key = (var, rng.randrange(ctx.level_bound(var)), sum(exps), exps)
+        terms[key] = rng.randrange(1, ctx.p)
+    return Derivation(ctx, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 5]))
+def test_flat_matches_nested_reference(rnd, p):
+    rng = random.Random(rnd.randint(0, 2**32))
+    tup = ParameterTuple.constant(p, 1, 1)
+    depth = {2: 4, 3: 3, 5: 2}[p]
+    ctx = DpContext(tup, depth)
+    cap = tup.trusted_weight_bound(depth)
+    zone = [random_zone_element(ctx, tup, cap, rng) for _ in range(2)]
+    raw_ctx = DpContext(ParameterTuple.constant(p, 2, 1), 2)
+    raw = [random_terms(raw_ctx, rng, rng.randint(1, 5)) for _ in range(2)]
+    for c, (D, E) in ((ctx, zone), (raw_ctx, raw)):
+        ND, NE = nested(D), nested(E)
+        assert from_nested(c, ND) == D
+        assert bracket(D, E) == from_nested(c, nested_bracket(ND, NE))
+        assert p_power(D) == from_nested(c, nested_p_power(c, ND))
+        f = AlgebraElement(c, {DpMonomial(k[3]): v for k, v in E.terms.items()})
+        assert D.apply(f) == nested_apply(c, ND, f)
+        assert D.lmul(f) == from_nested(c, {k: f * g for k, g in ND.items()})

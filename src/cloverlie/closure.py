@@ -34,6 +34,7 @@ from .derivations import (
 )
 from .monomials import (
     MonomialDescriptor,
+    count_descriptors,
     enumerate_descriptors,
     monomial_weight,
     realize,
@@ -246,9 +247,16 @@ def _span_member(components: dict, parts: dict) -> bool:
 def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedBasis:
     """Close the span of the generators under bracket and p-th power.
 
-    Brackets are scheduled while the operands' weights sum to at most the
-    cap; p-th powers while p times the weight stays within the cap.  The
-    cap must not exceed the trusted weight bound of the generators' context.
+    The graded parts of the generators within the cap are inserted first.
+    Then the walk visits the basis vectors by index j = 0, 1, ... while j is
+    below the current number of vectors, which grows as results are
+    inserted: it brackets vectors[i] with vectors[j] for i = 0 .. j in turn
+    while the two weights sum to at most the cap, and then takes the p-th
+    power of vectors[j] if p times its weight stays within the cap.  Every
+    nonzero result is split into graded parts and the parts within the cap
+    are inserted.  The walk keeps no state beyond the basis and the index.
+    The cap must not exceed the trusted weight bound of the generators'
+    context.
 
     Every call builds a new basis; nothing is cached here.  The basis and
     grading suites and the nil sampler instead share one closure of the
@@ -268,39 +276,34 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
         )
     p = ctx.p
     basis = GradedBasis(ctx, weight_cap)
-    pending: list[tuple] = []  # ("bracket", i, j) | ("power", i)
+    vectors = basis.vectors
 
     def admit(D: Derivation):
         for md, part in D.graded_components().items():
-            wt = sum(md)
-            if wt > weight_cap:
-                continue
-            if basis.insert(md, part):
-                j = len(basis.vectors) - 1
-                for i in range(j + 1):
-                    wi = sum(basis.vectors[i][0])
-                    if wi + wt <= weight_cap:
-                        pending.append(("bracket", i, j))
-                if p * wt <= weight_cap:
-                    pending.append(("power", j))
+            if sum(md) <= weight_cap:
+                basis.insert(md, part)
 
     for g in generators:
         admit(g)
 
-    cursor = 0
-    while cursor < len(pending):
-        task = pending[cursor]
-        cursor += 1
-        if task[0] == "bracket":
-            _, i, j = task
-            res = bracket(basis.vectors[i][1], basis.vectors[j][1])
-            if not res.is_zero():
-                admit(res)
-        else:
-            res = p_power(basis.vectors[task[1]][1])
-            if not res.is_zero():
-                admit(res)
+    j = 0
+    while j < len(vectors):
+        mdj, Dj = vectors[j]
+        wj = sum(mdj)
+        for i in range(j + 1):
+            mdi, Di = vectors[i]
+            if sum(mdi) + wj <= weight_cap:
+                admit(bracket(Di, Dj))
+        if p * wj <= weight_cap:
+            admit(p_power(Dj))
+        j += 1
     return basis
+
+
+# Largest standard closure that is built.  The closure brackets every pair
+# of basis vectors within the cap, so its time grows with the square of the
+# dimension.
+MAX_CLOSURE_DIM = 10_000
 
 
 def _standard_generators(ctx: DpContext) -> list[Derivation]:
@@ -312,17 +315,28 @@ def _standard_closure(tup: ParameterTuple, depth: int) -> GradedBasis:
     """Closure of the generation-0 pivots up to the trusted weight bound.
 
     One closure serves every suite of a run on the same (tuple, depth).
-    The basis is shared, so callers must treat it as read-only.
+    The basis is shared, so callers must treat it as read-only.  Its
+    dimension equals the descriptor count at the cap, so a closure above
+    MAX_CLOSURE_DIM is refused with ValueError before any bracket is taken.
     """
     ctx = DpContext(tup, depth)
-    return restricted_closure(_standard_generators(ctx), tup.trusted_weight_bound(depth))
+    cap = tup.trusted_weight_bound(depth)
+    dim = sum(count_descriptors(tup, cap).values())
+    if dim > MAX_CLOSURE_DIM:
+        raise ValueError(
+            f"closure too large: {dim} basis elements at depth {depth} "
+            f"exceed the limit {MAX_CLOSURE_DIM}"
+        )
+    return restricted_closure(_standard_generators(ctx), cap)
 
 
 # -- relation suite -----------------------------------------------------------------
 
 
-def _mono(ctx: DpContext, exps: dict) -> AlgebraElement:
-    return AlgebraElement.monomial(ctx, {v: e for v, e in exps.items() if e})
+def _head_cell(ctx: DpContext, family: str, i: int, head: tuple[int, int]) -> Derivation:
+    """Closed form of the length-(i+1) head cell of a family, all-zero tail."""
+    zero = (0, 0) if family == "first" else (0, 0, 0)
+    return realize(MonomialDescriptor(family, i + 1, head, (zero,) * i), ctx)
 
 
 def relation_suite(
@@ -378,15 +392,13 @@ def relation_suite(
         rep.check("regenerate-next", ad_power(v_i, wR, p**S - 1) == w_n, kind="w", i=i)
         rep.check("regenerate-next", ad_power(v_i, uR, p**S - 1) == u_n, kind="u", i=i)
         h_next = bracket(w_i, v_i)
-        h_rhs = v_n.lmul(_mono(ctx, {(i, 0): p**S - 1, (i, 1): p**R - 2})) - w_n.lmul(
-            _mono(ctx, {(i, 0): p**S - 2, (i, 1): p**R - 1})
-        )
+        h_rhs = _head_cell(ctx, "first", i, (0, 0))
         rep.check(
             "bracket-pair", h_next == h_rhs, witness=lambda: f"lhs={h_next} rhs={h_rhs}",
             pair="wv", i=i,
         )
         g_next = bracket(v_i, u_i)
-        g_rhs = u_n.lmul(_mono(ctx, {(i, 0): p**S - 2, (i, 2): p**R - 1}))
+        g_rhs = _head_cell(ctx, "second", i, (0, 0))
         rep.check(
             "bracket-pair", g_next == g_rhs, witness=lambda: f"lhs={g_next} rhs={g_rhs}",
             pair="vu", i=i,
@@ -400,15 +412,7 @@ def relation_suite(
                     continue
                 lhs = ad_power(v_i, ad_power(w_i, h_next, eta), xi)
                 swapped = ad_power(w_i, ad_power(v_i, h_next, xi), eta)
-                rhs = Derivation.zero(ctx)
-                if p**R - 2 - eta >= 0:
-                    rhs = rhs + v_n.lmul(
-                        _mono(ctx, {(i, 0): p**S - 1 - xi, (i, 1): p**R - 2 - eta})
-                    )
-                if p**S - 2 - xi >= 0:
-                    rhs = rhs - w_n.lmul(
-                        _mono(ctx, {(i, 0): p**S - 2 - xi, (i, 1): p**R - 1 - eta})
-                    )
+                rhs = _head_cell(ctx, "first", i, (xi, eta))
                 rep.check(
                     "head-grid-first",
                     lhs == rhs,
@@ -429,9 +433,7 @@ def relation_suite(
         for xi in range(p**S - 1):
             for zeta in range(p**R):
                 lhs = ad_power(v_i, ad_power(u_i, g_next, zeta), xi)
-                rhs = u_n.lmul(
-                    _mono(ctx, {(i, 0): p**S - 2 - xi, (i, 2): p**R - 1 - zeta})
-                )
+                rhs = _head_cell(ctx, "second", i, (xi, zeta))
                 rep.check(
                     "head-grid-second",
                     lhs == rhs,
@@ -506,17 +508,18 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     for md in sorted(by_md):
         for d in by_md[md]:
             D = realize(d, ctx)
+            parts = D.graded_components()
             rep.check(
                 "realize-membership",
-                basis.member(D),
+                _span_member(basis.components, parts),
                 witness=lambda: f"descriptor={d} element={D}",
                 descriptor=str(d),
             )
-            actual = D.multidegree()
             rep.check(
                 "realize-multidegree",
-                actual == md,
-                witness=lambda: f"descriptor={d} predicted={md} actual={actual}",
+                set(parts) == {md},
+                witness=lambda: f"descriptor={d} predicted={md} "
+                f"actual={' + '.join(map(str, sorted(parts))) or None}",
                 descriptor=str(d),
             )
             if indep.insert(D.terms) is None:
@@ -639,12 +642,6 @@ class NilResult:
         return self.p**self.k if self.status == "nil" else None
 
 
-def _max_weight(D: Derivation) -> int:
-    if D.is_zero():
-        return 0
-    return max(sum(md) for md in D.graded_components())
-
-
 def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
     """Iterate the p-th power map inside the trusted zone.
 
@@ -654,7 +651,8 @@ def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
     """
     if e.ctx != basis.ctx:
         raise ContextMismatchError("context mismatch")
-    if not basis.member(e):
+    parts = e.graded_components()
+    if not _span_member(basis.components, parts):
         raise ValueError("element outside algebra")
     p = e.ctx.p
     cap = basis.cap
@@ -662,9 +660,9 @@ def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
     k = 0
     weights = []
     while True:
-        if cur.is_zero():
+        if not parts:
             return NilResult("nil", k, p, tuple(weights))
-        wt = _max_weight(cur)
+        wt = max(map(sum, parts))
         weights.append(wt)
         if p * wt > cap:
             return NilResult(
@@ -675,6 +673,7 @@ def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
                 witness=f"next power would leave trusted zone ({p * wt} > {cap})",
             )
         cur = p_power(cur)
+        parts = cur.graded_components()
         k += 1
 
 

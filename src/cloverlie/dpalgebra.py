@@ -320,12 +320,17 @@ def dp_basis_dim(ctx: DpContext) -> int:
     return ctx.dimension()
 
 
-def dp_basis(ctx: DpContext, cap: int = 2_000_000) -> list[DpMonomial]:
+# Largest truncation whose monomials dp_basis lists.
+DP_BASIS_CAP = 2_000_000
+
+
+def dp_basis(ctx: DpContext) -> list[DpMonomial]:
     """All basis monomials in graded-lex order; refuses oversized contexts."""
     dim = ctx.dimension()
-    if dim > cap:
+    if dim > DP_BASIS_CAP:
         raise ValueError(
-            f"truncation too large to enumerate: dimension {dim} exceeds cap {cap}"
+            "truncation too large to enumerate: "
+            f"dimension {dim} exceeds cap {DP_BASIS_CAP}"
         )
     monos = [
         DpMonomial(exps)

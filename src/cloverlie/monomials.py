@@ -727,25 +727,28 @@ def _cumulative_at(tup: ParameterTuple, m: int) -> tuple[int, int, int, int]:
     )
 
 
+# Most rows a growth table holds, dense or by checkpoints.
+TABLE_ROW_CAP = 200_000
+
+
 def growth_table(
     tup: ParameterTuple,
     max_weight: int,
     weights: list[int] | None = None,
-    row_cap: int = 200_000,
 ) -> GrowthTable:
     """Exact growth table up to max_weight.
 
     Without ``weights`` the table has one row per integer 1..max_weight
-    (refused with "table too large" beyond ``row_cap``); with ``weights`` it
+    (refused with "table too large" beyond TABLE_ROW_CAP); with ``weights`` it
     has exactly those checkpoint rows, which permits astronomically large
     weights since each row is an O(polylog) big-integer computation.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     if weights is None:
-        if max_weight > row_cap:
+        if max_weight > TABLE_ROW_CAP:
             raise ValueError(
-                f"table too large: {max_weight} rows exceed cap {row_cap}; "
+                f"table too large: {max_weight} rows exceed cap {TABLE_ROW_CAP}; "
                 "pass explicit checkpoint weights"
             )
         ms = range(1, max_weight + 1)
@@ -773,8 +776,8 @@ def growth_table(
             raise ValueError("checkpoint weights must be >= 1")
         if ms and ms[-1] > max_weight:
             raise ValueError("checkpoint weight beyond max_weight")
-        if len(ms) > row_cap:
-            raise ValueError(f"table too large: {len(ms)} rows exceed cap {row_cap}")
+        if len(ms) > TABLE_ROW_CAP:
+            raise ValueError(f"table too large: {len(ms)} rows exceed cap {TABLE_ROW_CAP}")
     rows = []
     for m in ms:
         fi, se, pf, ps = _cumulative_at(tup, m)

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(argv, timeout):
+    """Run ``cloverlie <argv[0]> --p 2 <argv[1:]>`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cloverlie.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "cloverlie.cli", argv[0], "--p", "2", *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 # ---------------------------------------------------------------------------
 # growth
 
@@ -337,15 +347,29 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
     ],
 )
 def test_bounds_tower_entry_too_large_is_config_error(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cloverlie.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cloverlie.cli", argv[0], "--p", "2", *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_subprocess(argv, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: tuple entry too large to materialize"]
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["basis", "--tuple", "kappa:1/2", "--depth", "5", "--check"], 127111),
+        (["nil", "--tuple", "constant:1,1", "--depth", "7", "--samples", "1",
+          "--seed", "1"], 16908),
+    ],
+    ids=["basis-kappa-depth5", "nil-depth7"],
+)
+def test_oversized_closure_is_config_error(argv, dim):
+    # refused from the descriptor count before any bracket is taken
+    proc = run_subprocess(argv, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: closure too large: {dim} basis elements")
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -191,6 +192,38 @@ def test_golden_renders(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "p, spec, depth, dim, digest",
+    [
+        (3, "constant:1,2", 3, 492,
+         "d38c66147693748c54fe4837e5fef7d1e2122e51b53c90878669f1932dc71009"),
+        (2, "periodic:1,1;2,1", 4, 102,
+         "362d1209bc4c39e5ea6870778e8adaf946e3f0e614784c126757278700a07d4c"),
+    ],
+)
+def test_golden_closure_order(p, spec, depth, dim, digest):
+    # the closure vectors in the order the schedule finds them, pinned on
+    # rules with unequal exponents, where the grading is least symmetric
+    _, basis = closure_at(ParameterTuple.from_spec(p, spec), depth)
+    assert len(basis.vectors) == dim
+    assert _sha256("\n".join(f"{md} {D.render()}" for md, D in basis.vectors)) == digest
+
+
+def test_closure_memory_is_linear_in_dimension():
+    # the schedule keeps no per-pair state: 492 vectors fit well under 1 MiB
+    ctx = DpContext(ParameterTuple.from_spec(3, "constant:1,2"), 3)
+    gens = _standard_generators(ctx)
+    cap = ctx.tup.trusted_weight_bound(3)
+    tracemalloc.start()
+    try:
+        basis = restricted_closure(gens, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension() == 492
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # nil behavior of the p-power map
 
@@ -253,3 +286,19 @@ def test_self_similarity_periodic():
 def test_self_similarity_needs_periodicity():
     with pytest.raises(ValueError, match="periodic"):
         self_similarity_decompose(ParameterTuple.kappa(2, "1/2"), 3)
+
+
+def test_inhomogeneous_realization_is_a_fail(monkeypatch):
+    # a broken closed form that mixes two multidegrees is reported as failed
+    # checks with both multidegrees in the witness, not raised
+    realize = closure.realize
+
+    def mixed(d, ctx):
+        D = realize(d, ctx)
+        return D + pivot(ctx, "v", 1) if d.length == 1 else D
+
+    monkeypatch.setattr(closure, "realize", mixed)
+    rep = verify_basis_theorem(TUP2, 4)
+    fails = [r for r in rep.failures() if r.check_id == "realize-multidegree"]
+    assert any(r.witness.endswith(" + (2, 1, 0)") for r in fails)
+    assert all(r.status == "pass" for r in rep.records if r.check_id.startswith("dimension"))

@@ -151,12 +151,27 @@ def test_power_of_first_generator():
 
 
 def test_power_reconstruction_self_check():
-    # verify=True recomputes the operator from its p-fold composition and
-    # raises unless the triangular solve reproduces it exactly
-    ctx, D, E, _, _ = random_pair(2, 4, seed=23)
-    assert p_power(D, verify=True) == p_power(D)
-    ctx3, D3, _, _, _ = random_pair(3, 2, seed=23)
-    assert p_power(D3, verify=True) == p_power(D3)
+    # the triangular solve reproduces the p-fold composition D∘…∘D on the
+    # full monomial basis; S = 2 gives x-shifts of level 1 to eliminate
+    from cloverlie import dp_basis
+
+    rng = random.Random(23)
+    for tup, depth, count in (
+        (ParameterTuple.constant(2, 1, 1), 4, 1),
+        (ParameterTuple.constant(3, 1, 1), 2, 1),
+        (ParameterTuple.constant(2, 2, 1), 2, 8),
+        (ParameterTuple.constant(3, 2, 1), 2, 4),
+    ):
+        ctx = DpContext(tup, depth)
+        monos = [AlgebraElement(ctx, {mono: 1}) for mono in dp_basis(ctx)]
+        for _ in range(count):
+            D = random_zone_element(ctx, tup, tup.trusted_weight_bound(depth), rng, 6)
+            P = p_power(D)
+            for f in monos:
+                composed = f
+                for _ in range(tup.p):
+                    composed = D.apply(composed)
+                assert P.apply(f) == composed
 
 
 def test_iterated_power_matches_composition():

@@ -73,6 +73,22 @@ def test_basis_theorem_reports():
     assert not rep3.failures()
 
 
+def test_inhomogeneous_realization_is_a_fail(monkeypatch):
+    # a broken closed form that mixes two multidegrees is reported as failed
+    # checks with both multidegrees in the witness, not raised
+    realize = closure.realize
+
+    def mixed(d, ctx):
+        D = realize(d, ctx)
+        return D + pivot(ctx, "v", 1) if d.length == 1 else D
+
+    monkeypatch.setattr(closure, "realize", mixed)
+    rep = verify_basis_theorem(TUP2, 4)
+    fails = [r for r in rep.failures() if r.check_id == "realize-multidegree"]
+    assert any(r.witness.endswith(" + (2, 1, 0)") for r in fails)
+    assert all(r.status == "pass" for r in rep.records if r.check_id.startswith("dimension"))
+
+
 def test_grading_reports():
     rep = verify_grading(TUP2, 4)
     assert rep.passed
@@ -210,7 +226,7 @@ def test_golden_closure_order(p, spec, depth, dim, digest):
 
 
 def test_closure_memory_is_linear_in_dimension():
-    # the schedule keeps no per-pair state: 492 vectors fit well under 1 MiB
+    # the schedule keeps no per-pair state, so 492 vectors fit under 1 MiB
     ctx = DpContext(ParameterTuple.from_spec(3, "constant:1,2"), 3)
     gens = _standard_generators(ctx)
     cap = ctx.tup.trusted_weight_bound(3)
@@ -287,18 +303,3 @@ def test_self_similarity_needs_periodicity():
     with pytest.raises(ValueError, match="periodic"):
         self_similarity_decompose(ParameterTuple.kappa(2, "1/2"), 3)
 
-
-def test_inhomogeneous_realization_is_a_fail(monkeypatch):
-    # a broken closed form that mixes two multidegrees is reported as failed
-    # checks with both multidegrees in the witness, not raised
-    realize = closure.realize
-
-    def mixed(d, ctx):
-        D = realize(d, ctx)
-        return D + pivot(ctx, "v", 1) if d.length == 1 else D
-
-    monkeypatch.setattr(closure, "realize", mixed)
-    rep = verify_basis_theorem(TUP2, 4)
-    fails = [r for r in rep.failures() if r.check_id == "realize-multidegree"]
-    assert any(r.witness.endswith(" + (2, 1, 0)") for r in fails)
-    assert all(r.status == "pass" for r in rep.records if r.check_id.startswith("dimension"))

@@ -249,6 +249,10 @@ def main(argv=None) -> int:
     except (TupleRuleError, RoundingAmbiguityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, OverflowError) as exc:
+        # the input is out of range for this machine
+        print(f"error: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1

@@ -18,16 +18,19 @@ head cell of generation n-1 weighs (sum + 2) W_{n-1}, and tail exponents are
 deficiencies subtracted from the head weight.  Counting descriptors of weight
 at most m never materializes operators: it is exact big-integer lattice-point
 counting (closed-form box sums plus a memoized digit recursion over the
-mixed-radix ladder), with a vectorized dense convolution path for tables that
-need every integer row.  The memo belongs to one engine per (tuple, family);
-engines are held in a bounded least-recently-used cache, so calls share them
-without unbounded growth.  Dense tables are cross-checked against the
+mixed-radix ladder, run only on the lengths a weight cuts; the lengths it
+saturates come from a prefix table of closed-form totals), with a vectorized
+dense convolution path for tables that need every integer row.  The memo and
+the tables belong to one engine per (tuple, column); engines are held in a
+bounded least-recently-used cache, so calls share them without unbounded
+growth.  Dense tables are cross-checked against the
 big-integer engine at every pivot-ladder weight W_n below the last row and
 at the last row.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
@@ -55,6 +58,8 @@ __all__ = [
 FAMILIES = ("first", "second", "power_v", "power_w", "power_u")
 _FAMILY_RANK = {f: i for i, f in enumerate(FAMILIES)}
 _POWER_KIND = {"power_v": "v", "power_w": "w", "power_u": "u"}
+# The engine of the growth-table column a family is counted in holds its length table.
+_COLUMN = {f: "second" if f in ("second", "power_u") else "first" for f in FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,8 @@ def _box3_prefix(s: int, P: int, Q1: int, Q2: int) -> int:
 
 
 class _TailEngine:
-    """Exact big-integer counting of tail deficiency sums for one family."""
+    """Exact big-integer counting of tail deficiency sums for one family,
+    and the length tables of the families in its column (``saturated``)."""
 
     def __init__(self, tup: ParameterTuple, family: str):
         assert family in ("first", "second")
@@ -280,7 +286,10 @@ class _TailEngine:
         self._totals: list[int] = [1]
         self._dmax: list[int] = [0]
         self._memo: dict[tuple[int, int], int] = {}
-        self._lock = threading.Lock()
+        # family -> columns indexed by length n: least weight, running maximum
+        # of the saturation weights, closed-form totals summed over 1..n
+        self._tables: dict[str, tuple[list[int], list[int], list[int]]] = {}
+        self._lock = threading.RLock()
 
     def _extend(self, k: int) -> None:
         p = self.p
@@ -354,9 +363,37 @@ class _TailEngine:
             return 0
         return self.total(k) - self.below(k, req - 1)
 
+    def saturated(self, family: str, m: int) -> tuple[int, int, int]:
+        """(n0, n1, count): at weight m, lengths 1..n0 of ``family`` are saturated
+        (hold all their ``count`` descriptors) and m cuts lengths n0+1..n1.
 
-# Engines keep their memo between calls (the quasilinear rows reuse it);
-# eight is the two families of each of the last four tuples.
+        Length n is saturated once m >= (P + Q) W_{n-1} for head box (P, Q),
+        m >= W_{n-1} p^S (power_v) or m >= W_{n-1} p^R (power_w, power_u).
+        The table grows only to the lengths whose least weight is <= m.
+        """
+        tup, p = self.tup, self.p
+        with self._lock:
+            least, sat, prefix = self._tables.setdefault(family, ([0], [0], [0]))
+            while (lw := _least_weight(tup, family, len(least), least[-1])) <= m:
+                n = len(least)
+                W = tup.pivot_weight(n - 1)
+                S, R = tup.materialize(n - 1)
+                if family in _POWER_KIND:
+                    full = S if family == "power_v" else R
+                    top = W * p**full
+                else:
+                    P, Q = _head_box(tup, family, n)
+                    top = (P + Q) * W
+                    full = (P * Q - (family == "first")) * self.total(n - 1)
+                least.append(lw)
+                sat.append(max(sat[-1], top))
+                prefix.append(prefix[-1] + full)
+            n0 = bisect.bisect_right(sat, m) - 1
+            return n0, bisect.bisect_right(least, m) - 1, prefix[n0]
+
+
+# Engines keep their memo and length tables between calls (the quasilinear
+# rows reuse both); eight is the two columns of each of the last four tuples.
 @functools.lru_cache(maxsize=8)
 def _engine(tup: ParameterTuple, family: str) -> _TailEngine:
     return _TailEngine(tup, family)
@@ -371,27 +408,27 @@ def _head_box(tup: ParameterTuple, family: str, n: int) -> tuple[int, int]:
     return p**S - 1, p**R
 
 
-def _lengths(tup: ParameterTuple, family: str, m: int):
-    """Yield (n, W_{n-1}) for every length n >= 1 whose least weight is <= m.
+def _least_weight(tup: ParameterTuple, family: str, n: int, prev: int) -> int:
+    """Least weight of a length-n descriptor (n >= 1), given prev for length n-1:
+    W_{n-1} + 1 (first), p W_{n-1} (power families) or, as a running sum,
+    2 + sum_{i < n-1} (p^{S_i} - 1) W_i (second); each grows with n."""
+    if family != "second":
+        W = tup.pivot_weight(n - 1)
+        return W + 1 if family == "first" else tup.p * W
+    if n == 1:
+        return 2
+    S, _ = tup.materialize(n - 2)
+    return prev + (tup.p**S - 1) * tup.pivot_weight(n - 2)
 
-    The least weight of a length-n descriptor is W_{n-1} + 1 (first),
-    p W_{n-1} (power families) or 2 + sum_{i < n-1} (p^{S_i} - 1) W_i
-    (second, kept as a running sum); each grows with n.
-    """
-    p = tup.p
-    least_second = 2
+
+def _lengths(tup: ParameterTuple, family: str, m: int):
+    """Yield (n, W_{n-1}) for every length n >= 1 whose least weight is <= m."""
+    least = 0
     for n in itertools.count(1):
-        if family == "second":
-            if least_second > m:
-                return
-            W = tup.pivot_weight(n - 1)
-            S, _ = tup.materialize(n - 1)
-            least_second += (p**S - 1) * W
-        else:
-            W = tup.pivot_weight(n - 1)
-            if (W + 1 if family == "first" else p * W) > m:
-                return
-        yield n, W
+        least = _least_weight(tup, family, n, least)
+        if least > m:
+            return
+        yield n, tup.pivot_weight(n - 1)
 
 
 def _power_weights(tup: ParameterTuple, family: str, n: int, m: int) -> list[int]:
@@ -445,7 +482,10 @@ def count_descriptors(
 
     With ``family`` a dict over all five families collapses to one integer;
     with ``length`` the count is restricted to that exact length, otherwise
-    it sums over all lengths (only finitely many contribute).
+    it sums over all lengths (only finitely many contribute): the leading
+    lengths that max_weight saturates (see ``_TailEngine.saturated``) add
+    their closed-form totals from a prefix table, and only the lengths
+    above them whose least weight is <= max_weight are counted one by one.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
@@ -454,13 +494,15 @@ def count_descriptors(
         if f not in FAMILIES:
             raise ValueError(f"unknown family {f!r}")
     out = {}
+    engines = {}
     for f in fams:
-        eng = None if f in _POWER_KIND else _engine(tup, f)
+        col = _COLUMN[f]
+        eng = engines[col] = engines.get(col) or _engine(tup, col)
         if length is None:
-            lengths = [0, *(n for n, _ in _lengths(tup, f, max_weight))]
+            n0, n1, acc = eng.saturated(f, max_weight)
+            lengths = [0, *range(n0 + 1, n1 + 1)]
         else:
-            lengths = [length]
-        acc = 0
+            acc, lengths = 0, [length]
         for n in lengths:
             if n == 0:
                 acc += {"first": 2, "second": 1}.get(f, 0) if max_weight >= 1 else 0
@@ -661,7 +703,10 @@ class GrowthTable:
                 if m <= last[0] or tot < last[5]:
                     raise ValueError("growth table rows must increase")
             last = row
-        self._index = {row[0]: row for row in self.rows}
+
+    @functools.cached_property
+    def _index(self) -> dict[int, tuple[int, int, int, int, int, int]]:
+        return {row[0]: row for row in self.rows}
 
     def gamma(self, m: int) -> int:
         """Cumulative total at a computed row m."""

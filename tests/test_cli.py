@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import cloverlie
-from cloverlie import GrowthTable, closure
+from cloverlie import GrowthTable, cli, closure
 from cloverlie.cli import main
 
 
@@ -419,6 +419,28 @@ def test_nonprime_p(capsys):
         capsys, "growth", "--p", "4", "--tuple", "constant:1,1", "--max-weight", "5"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: MemoryError"),
+        (OverflowError("int too large"), "error: OverflowError int too large"),
+    ],
+    ids=["memory", "overflow"],
+)
+def test_resource_errors_are_config_errors(capsys, monkeypatch, exc, line):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "growth", exhausted)
+    code, out, err = run(
+        capsys, "growth", "--p", "2", "--tuple", "constant:1,1", "--max-weight", "5"
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == [line]
+    assert out == ""
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,6 +1,7 @@
 """Basis-monomial bookkeeping: counting, enumeration, and growth tables."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -27,7 +28,9 @@ from cloverlie import (
     realize,
 )
 from cloverlie import monomials
+from cloverlie.cli import _quasilinear_checkpoints
 from cloverlie.monomials import FAMILIES, validate_descriptor
+from cloverlie.params import TupleRuleError
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
 TUP3 = ParameterTuple.constant(3, 1, 1)
@@ -234,6 +237,110 @@ def test_engine_cache_bounded_and_thread_safe():
             assert results == [serial] * 4
     finally:
         sys.setswitchinterval(old)
+
+
+def _per_length_counts(tup, m):
+    """The per-length engine summed over the lengths ``_lengths`` yields."""
+    out = {}
+    for f in FAMILIES:
+        acc = count_descriptors(tup, m, family=f, length=0)
+        for n, _ in monomials._lengths(tup, f, m):
+            acc += count_descriptors(tup, m, family=f, length=n)
+        out[f] = acc
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TupleRuleError as exc:
+        return f"TupleRuleError: {exc}"
+
+
+def test_prefix_table_matches_per_length_sum():
+    rng = random.Random(20261018)
+    rules = []
+    for p in (2, 3, 5):
+        pairs = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(5)]
+        pattern = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
+        rules += [
+            ParameterTuple.explicit(p, pairs),
+            ParameterTuple.periodic(p, pattern),
+            ParameterTuple.kappa(p, "1/2" if p == 2 else rng.choice(("1/3", "2/3"))),
+            ParameterTuple.qkappa(p, 1, 1),
+        ]
+    raised = 0
+    for tup in rules:
+        monomials._engine.cache_clear()  # tables start empty and grow out of order
+        ws = [*range(401), *(rng.randrange(10**60) for _ in range(30))]
+        if tup == ParameterTuple.kappa(2, "1/2"):
+            ws += _quasilinear_checkpoints(tup, 10**2000)
+        rng.shuffle(ws)
+        for m in ws:
+            got = _outcome(count_descriptors, tup, m)
+            assert got == _outcome(_per_length_counts, tup, m), (tup.spec, tup.p, m)
+            raised += isinstance(got, str)
+        # each table row's closed form is the length's family total
+        for col in ("first", "second"):
+            for f, (least, sat, prefix) in monomials._engine(tup, col)._tables.items():
+                for n in range(1, len(least)):
+                    assert prefix[n] - prefix[n - 1] == family_totals(tup, n)[f]
+    assert raised  # the finite explicit rules run out of entries at large weights
+
+
+def test_length_tables_bounded_and_thread_safe():
+    monomials._engine.cache_clear()
+    for S in range(1, 21):
+        count_descriptors(ParameterTuple.constant(2, S, 1), 10**6)
+    gc.collect()
+    engines = [o for o in gc.get_objects() if isinstance(o, monomials._TailEngine)]
+    assert 0 < len(engines) <= monomials._engine.cache_info().maxsize
+    for eng in engines:
+        assert {monomials._COLUMN[f] for f in eng._tables} == {eng.family}
+
+    # four threads race the tables of one fresh tuple, each in its own weight order
+    pattern = [(1, 2), (2, 1), (1, 1)]
+    weights = [10**e for e in range(0, 401, 25)]
+    serial = [count_descriptors(ParameterTuple.periodic(3, pattern), m) for m in weights]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(5):
+            monomials._engine.cache_clear()
+            tup = ParameterTuple.periodic(3, pattern)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def count(i):
+                order = random.Random(10 * rnd + i).sample(range(len(weights)), len(weights))
+                start.wait(timeout=60)
+                got = {j: count_descriptors(tup, weights[j]) for j in order}
+                results[i] = [got[j] for j in range(len(weights))]
+
+            threads = [threading.Thread(target=count, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_growth_table_validates_rows_and_indexes_on_demand():
+    with pytest.raises(ValueError, match="row total mismatch"):
+        GrowthTable(p=2, tuple_spec=TUP2.spec, rows=[(1, 2, 1, 0, 0, 4)])
+    for rows in ([ROWS_2_11[1], ROWS_2_11[1]], [ROWS_2_11[2], ROWS_2_11[1]]):
+        with pytest.raises(ValueError, match="rows must increase"):
+            GrowthTable(p=2, tuple_spec=TUP2.spec, rows=rows)
+    with pytest.raises(ValueError, match="rows must increase"):
+        GrowthTable(p=2, tuple_spec=TUP2.spec, rows=[(1, 2, 1, 0, 0, 3), (2, 1, 1, 0, 0, 2)])
+    t = GrowthTable(p=2, tuple_spec=TUP2.spec, rows=ROWS_2_11)
+    assert "_index" not in vars(t)  # built by the first gamma() call only
+    assert t.gamma(5) == 21
+    with pytest.raises(KeyError):
+        t.gamma(10)
 
 
 def test_checkpoint_weights():

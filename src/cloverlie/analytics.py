@@ -17,22 +17,21 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import mpmath
+from mpmath import libmp
 
 from .closure import VerificationReport
 from .monomials import GrowthTable, count_descriptors, family_totals
-from .params import ParameterTuple
+from .params import ParameterTuple, interval_context, tower
 
 
 def _float_down(x) -> float:
-    """Largest float <= the exact value x (an mpmath mpf endpoint)."""
-    f = float(mpmath.mpf(x))
-    return f if mpmath.mpf(f) <= x else math.nextafter(f, -math.inf)
+    """Largest float <= the lower endpoint of the mpmath interval x."""
+    return libmp.to_float(x._mpi_[0], rnd=libmp.round_floor)
 
 
 def _float_up(x) -> float:
-    """Smallest float >= the exact value x (an mpmath mpf endpoint)."""
-    f = float(mpmath.mpf(x))
-    return f if mpmath.mpf(f) >= x else math.nextafter(f, math.inf)
+    """Smallest float >= the upper endpoint of the mpmath interval x."""
+    return libmp.to_float(x._mpi_[1], rnd=libmp.round_ceiling)
 
 
 # -- closed-form growth exponent for periodic rules ---------------------------
@@ -61,15 +60,14 @@ class GKReport:
         return float(self.lam)
 
     def lam_interval(self) -> tuple[float, float]:
-        """Certified enclosure of the exponent as a float pair."""
-        iv = mpmath.iv
-        saved = iv.prec
-        try:
-            iv.prec = max(120, self.mu.bit_length() + 32)
-            val = self.sigma * iv.log(self.p) / iv.log(self.mu)
-            return (_float_down(val.a), _float_up(val.b))
-        finally:
-            iv.prec = saved
+        """Certified enclosure of the exponent as a float pair.
+
+        Evaluated in a private interval context at max(120, bits(mu) + 32)
+        bits, so the result does not depend on mpmath's global precision.
+        """
+        ctx = interval_context(max(120, self.mu.bit_length() + 32))
+        val = self.sigma * ctx.log(self.p) / ctx.log(self.mu)
+        return (_float_down(val), _float_up(val))
 
     def describe(self) -> str:
         return (
@@ -99,13 +97,9 @@ def _mu_sigma(p: int, pattern: list[tuple[int, int]]) -> tuple[int, int]:
 
 def _render_ratio_of_logs(num: int, base_num: int, base_den: int) -> str:
     """num * ln(base_num) / ln(base_den) as a 12-significant-digit string."""
-    saved = mpmath.mp.dps
-    try:
-        mpmath.mp.dps = 40
-        val = num * mpmath.log(base_num) / mpmath.log(base_den)
-        return mpmath.nstr(val, 12)
-    finally:
-        mpmath.mp.dps = saved
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    return ctx.nstr(num * ctx.log(base_num) / ctx.log(base_den), 12)
 
 
 def gk_periodic(tup: ParameterTuple) -> GKReport:
@@ -181,6 +175,7 @@ def gk_density_scan(
 
     items: list[tuple[float, int, int, int, int]] = []  # (approx, S, R, mu, sigma)
     all_in_range = True
+    ctx = mpmath.MPContext()  # 53 bits
     for S in range(1, S_max + 1):
         for R in range(1, R_max + 1):
             mu = p**S + p**R - 1
@@ -188,7 +183,7 @@ def gk_density_scan(
             psig = p**sigma
             if not (mu <= psig <= mu**3):
                 all_in_range = False
-            approx = float(sigma * mpmath.log(p) / mpmath.log(mu))
+            approx = float(sigma * ctx.log(p) / ctx.log(mu))
             items.append((approx, S, R, mu, sigma))
 
     items.sort(key=lambda it: it[0])
@@ -206,20 +201,15 @@ def gk_density_scan(
 
         items.sort(key=cmp_to_key(cmp))
 
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        iv.prec = max(120, max(it[3].bit_length() for it in items) + 32)
-        vals = [it[4] * iv.log(p) / iv.log(it[3]) for it in items]
-        gaps = [0.0]
-        for u, v in zip(vals, vals[1:]):
-            # count the stretch only when it can intersect the target interval
-            if _float_up(v.b) > a and _float_down(u.a) < b:
-                gaps.append(_float_up((v - u).b))
-        gaps.append(max(0.0, _float_up(vals[0].b) - a))
-        gaps.append(max(0.0, b - _float_down(vals[-1].a)))
-    finally:
-        iv.prec = saved
+    iv = interval_context(max(120, max(it[3].bit_length() for it in items) + 32))
+    vals = [it[4] * iv.log(p) / iv.log(it[3]) for it in items]
+    gaps = [0.0]
+    for u, v in zip(vals, vals[1:]):
+        # count the stretch only when it can intersect the target interval
+        if _float_up(v) > a and _float_down(u) < b:
+            gaps.append(_float_up(v - u))
+    gaps.append(max(0.0, _float_up(vals[0]) - a))
+    gaps.append(max(0.0, b - _float_down(vals[-1])))
 
     return DensityScan(
         p=p,
@@ -269,30 +259,17 @@ def _qkappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
     p = tup.p
     q = tup.params["q"]
     kap = tup.params["kappa"]
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        for prec in (80, 160, 320, 640):
-            iv.prec = prec
-            lam = 2 * iv.log(p) * kap.denominator / kap.numerator
-
-            def tower(t: int, levels: int):
-                val = lam * t
-                for _ in range(levels):
-                    val = iv.exp(val)
-                return val
-
-            # increments of the inner tower are nondecreasing (convexity),
-            # so certifying them at index I certifies them beyond it
-            inner_gap = tower(I + 2, q - 1) - tower(I + 1, q - 1)
-            ratio_ok = inner_gap.a > iv.log(2).b
-            delta_prev = tower(I + 1, q) - tower(I, q)  # G(I) - G(I-1)
-            size_ok = delta_prev.a > 3
-            if ratio_ok and size_ok:
-                s_next = tup.materialize(I + 1)[0]
-                return Fraction(p**2, (p - 1) * p**s_next)
-    finally:
-        iv.prec = saved
+    for prec in (80, 160, 320, 640):
+        iv = interval_context(prec)
+        inner, inner_next = (tower(iv, p, kap, t, q - 1) for t in (I + 1, I + 2))
+        # increments of the inner tower are nondecreasing (convexity),
+        # so certifying them at index I certifies them beyond it
+        ratio_ok = (inner_next - inner).a > iv.log(2).b
+        delta_prev = iv.exp(inner) - tower(iv, p, kap, I, q)  # G(I-1) - G(I-2)
+        size_ok = delta_prev.a > 3
+        if ratio_ok and size_ok:
+            s_next = tup.materialize(I + 1)[0]
+            return Fraction(p**2, (p - 1) * p**s_next)
     return None
 
 

@@ -12,7 +12,9 @@ analytic rules ("kappa", "qkappa") whose entries are floors of real-valued
 expressions.  Floors are computed exactly with integer root arithmetic
 whenever the expression is a rational power of an integer; otherwise interval
 arithmetic with escalating precision is used and an ambiguous floor raises
-instead of guessing.
+instead of guessing.  Each interval evaluation runs in a private mpmath
+context (:func:`interval_context`), so entries do not depend on mpmath's
+global precision and tuples are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 __all__ = [
     "TupleRuleError",
@@ -134,6 +137,21 @@ _PREC_LADDER = (128, 256, 512, 1024, 4096, 16384, 65536)
 _MAX_ENTRY_BITS = 1 << 26
 
 
+def interval_context(prec: int) -> mpmath.MPIntervalContext:
+    """A fresh mpmath interval context working at prec bits."""
+    ctx = mpmath.MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+def tower(ctx, p: int, kappa: Fraction, t: int, levels: int):
+    """exp^(levels)(lam*t) with lam = ln(p^2)/kappa, as an interval of ctx."""
+    val = 2 * ctx.log(p) * (t * kappa.denominator) / kappa.numerator
+    for _ in range(levels):
+        val = ctx.exp(val)
+    return val
+
+
 class ParameterTuple:
     """The prime p together with a generation rule for the pairs (S_i, R_i).
 
@@ -224,33 +242,36 @@ class ParameterTuple:
         if n == 0:
             return (1, 1)
         prior = sum(s for s, _ in self._pairs[:n])
-        s_n = self._tower_floor(n + 2) + 1 - prior
+        cap = prior + _MAX_ENTRY_BITS // self.p.bit_length()
+        s_n = self._tower_floor(n + 2, cap) + 1 - prior
         if s_n < 1:
             raise TupleRuleError(f"tuple rule degenerate at index {n}")
         return (s_n, 1)
 
-    def _tower_floor(self, t: int) -> int:
-        """floor(exp^(q)(lam*t)) with lam = ln(p^2)/kappa, certified exactly."""
+    def _tower_floor(self, t: int, cap: int) -> int:
+        """floor(exp^(q)(lam*t)) with lam = ln(p^2)/kappa, certified exactly.
+
+        Raises TupleRuleError, before any exponential is taken, when the
+        value provably exceeds cap: the entry it implies could not be
+        materialized, and evaluating the tower could take unbounded time.
+        """
         q, kap = self.params["q"], self.params["kappa"]
+        ctx = interval_context(_PREC_LADDER[0])
+        bound = ctx.mpf(cap)
+        for _ in range(q):
+            # log^(q)(cap) from above; a level <= 1 lies below the tower's
+            # level there (each exp level exceeds 1), so 0 stands in for it
+            bound = ctx.log(bound) if bound.b > 1 else ctx.mpf(0)
+        if tower(ctx, self.p, kap, t, 0).a > bound.b:
+            raise TupleRuleError("tuple entry too large to materialize")
         if q == 1:
             # exp(lam*t) = p**(2*t/kappa): an exact rational power of p.
             return _floor_rational_power(self.p, Fraction(2 * t, 1) / kap)
-        iv = mpmath.iv
-        saved = iv.prec
-        try:
-            for prec in _PREC_LADDER:
-                iv.prec = prec
-                val = 2 * iv.log(self.p) * (t * kap.denominator) / kap.numerator
-                for _ in range(q):
-                    val = iv.exp(val)
-                lo, hi = mpmath.floor(val.a), mpmath.floor(val.b)
-                if lo == hi and mpmath.isfinite(val.b):
-                    try:
-                        return int(lo)
-                    except OverflowError:
-                        raise TupleRuleError("tuple entry too large to materialize") from None
-        finally:
-            iv.prec = saved
+        for prec in _PREC_LADDER:
+            val = tower(interval_context(prec), self.p, kap, t, q)
+            lo, hi = (libmp.to_int(e, libmp.round_floor) for e in val._mpi_)
+            if lo == hi:
+                return lo
         raise RoundingAmbiguityError(
             f"rounding ambiguous: exp tower at argument {t} straddles an integer"
         )

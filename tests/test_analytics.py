@@ -4,6 +4,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cloverlie import (
@@ -142,6 +143,28 @@ def test_theta_enclosure_tower_rule():
     lo, hi = theta_bounds(tup)
     # entries after S_0 = 1 are huge, so the product is barely above 2
     assert Fraction(2) <= lo <= hi < Fraction(21, 10)
+
+
+def test_results_ignore_callers_mpmath_settings():
+    # fresh tuples each time: materialized entries are cached per tuple
+    def compute():
+        reports = [gk_periodic(ParameterTuple.periodic(3, [(1, 2), (2, 1)])),
+                   gk_periodic(ParameterTuple.constant(2, 40, 1))]
+        return (
+            ParameterTuple.qkappa(2, 2, 4).pairs(7),
+            gk_density_scan(2, 16, 16),
+            [(rep, rep.lam_interval()) for rep in reports],
+            theta_bounds(ParameterTuple.from_spec(2, "qkappa:1,1")),
+        )
+
+    default = compute()
+    saved = (mpmath.mp.prec, mpmath.iv.prec)
+    try:
+        mpmath.mp.prec, mpmath.iv.prec = 20, 300
+        assert compute() == default
+        assert (mpmath.mp.prec, mpmath.iv.prec) == (20, 300)
+    finally:
+        mpmath.mp.prec, mpmath.iv.prec = saved
 
 
 def test_theta_needs_unbounded_rule():

@@ -336,6 +336,8 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
         ["basis", "--tuple", "qkappa:2,1", "--depth", "3"],
         ["bounds", "--tuple", "kappa:1/100", "--max-weight", "1000"],
         ["growth", "--tuple", "explicit:1,1;100000000000,1", "--max-weight", "100"],
+        # the later --p wins: refused before exp^(3) of an argument near 10**230000
+        ["growth", "--p", "3", "--tuple", "qkappa:3,1/2", "--max-weight", "100"],
     ],
     ids=[
         "bounds-qkappa3",
@@ -344,6 +346,7 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
         "basis-qkappa2",
         "bounds-kappa1of100",
         "growth-explicit1e11",
+        "growth-qkappa3-half-p3",
     ],
 )
 def test_bounds_tower_entry_too_large_is_config_error(argv):

@@ -10,6 +10,7 @@ import random
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from cloverlie import (
     count_descriptors,
     enumerate_descriptors,
     family_totals,
+    gk_periodic,
     growth_table,
     monomial_weight,
     realize,
@@ -326,6 +328,45 @@ def test_length_tables_bounded_and_thread_safe():
             assert results == [serial] * 4
     finally:
         sys.setswitchinterval(old)
+
+
+def test_enclosures_thread_safe_and_leave_mpmath_precision_alone():
+    # exponent enclosures and tower-rule entries race in four threads; each
+    # must match its serial value and leave mpmath's global precision as found
+    rules = [
+        ParameterTuple.constant(2, 40, 1),
+        ParameterTuple.periodic(3, [(1, 2), (2, 1)]),
+        ParameterTuple.constant(5, 7, 3),
+    ] * 5
+
+    def work():
+        lams = [gk_periodic(t).lam_interval() for t in rules]
+        return lams, ParameterTuple.qkappa(2, 2, 4).pairs(7)
+
+    serial = work()
+    before = (mpmath.mp.prec, mpmath.iv.prec)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def race(i):
+                start.wait(timeout=60)
+                results[i] = work()
+
+            threads = [threading.Thread(target=race, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
+            assert (mpmath.mp.prec, mpmath.iv.prec) == before
+    finally:
+        sys.setswitchinterval(old)
+        mpmath.mp.prec, mpmath.iv.prec = before
 
 
 def test_growth_table_validates_rows_and_indexes_on_demand():

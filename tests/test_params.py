@@ -1,11 +1,14 @@
 """Parameter-rule construction, weights, multidegrees, and serialization."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cloverlie
 from cloverlie import (
     ParameterTuple,
     TupleRuleError,
@@ -68,6 +71,11 @@ def test_entry_size_limit():
     assert tup.materialized_length == 1
     with pytest.raises(TupleRuleError, match="too large to materialize"):
         ParameterTuple.kappa(2, "1/100").materialize(1)
+    # a tower entry exactly at the limit (S * bits(p) = 2**26) still materializes
+    tup = ParameterTuple.qkappa(2, 1, 2)
+    assert tup.materialize(24) == (2**25, 1)
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        tup.materialize(25)
 
 
 def test_tower_rule_degenerate():
@@ -187,3 +195,25 @@ def test_trusted_bound_matches_product_form(rnd):
     for N in range(2, 7):
         S = pairs[N - 2][0]
         assert trusted_weight_bound(tup, N) == (p**S - 1) * pivot_weight(tup, N - 2)
+
+
+# ---------------------------------------------------------------------------
+# certified arithmetic
+
+
+def test_package_uses_only_private_mpmath_contexts():
+    # mpmath's global mp/iv contexts, and the functions that read them, make
+    # results depend on the caller's settings and on other threads
+    allowed = {"MPContext", "MPIntervalContext", "libmp"}
+    used = set()
+    for path in sorted(pathlib.Path(cloverlie.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "mpmath"):
+                used.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                top, _, sub = node.module.partition(".")
+                if top == "mpmath":  # from mpmath[.sub] import name
+                    used.update((path.name, sub or alias.name) for alias in node.names)
+    assert used
+    assert sorted(u for u in used if u[1] not in allowed) == []

@@ -22,6 +22,7 @@ from .dpalgebra import (
     ContextMismatchError,
     DpContext,
     DpMonomial,
+    LinearCombination,
     binom_mod_p,
     dp_basis,
     dp_basis_dim,

@@ -21,7 +21,7 @@ from mpmath import libmp
 
 from .closure import VerificationReport
 from .monomials import GrowthTable, count_descriptors, family_totals
-from .params import ParameterTuple, interval_context, tower
+from .params import ParameterTuple, TupleRuleError, _is_prime, interval_context, tower
 
 
 def _float_down(x) -> float:
@@ -76,23 +76,20 @@ class GKReport:
         )
 
 
-def _period_pattern(tup: ParameterTuple) -> list[tuple[int, int]]:
+def _period(tup: ParameterTuple) -> tuple[int, int, int]:
+    """(q, mu, sigma) of a constant or periodic rule with period q: mu = W_q is
+    the weight multiplier over one period, sigma the sum of S_i + 2 R_i."""
     if tup.kind == "constant":
-        return [tup.materialize(0)]
-    if tup.kind == "periodic":
-        return list(tup.params["pattern"])
-    raise ValueError(
-        "closed-form growth exponent requires a constant or periodic rule; "
-        f"got kind {tup.kind!r}"
-    )
-
-
-def _mu_sigma(p: int, pattern: list[tuple[int, int]]) -> tuple[int, int]:
-    mu, sigma = 1, 0
-    for S, R in pattern:
-        mu *= p**S + p**R - 1
-        sigma += S + 2 * R
-    return mu, sigma
+        q = 1
+    elif tup.kind == "periodic":
+        q = len(tup.params["pattern"])
+    else:
+        raise ValueError(
+            "closed-form growth exponent requires a constant or periodic rule; "
+            f"got kind {tup.kind!r}"
+        )
+    sigma = sum(S + 2 * R for S, R in tup.pairs(q))
+    return q, tup.pivot_weight(q), sigma
 
 
 def _render_ratio_of_logs(num: int, base_num: int, base_den: int) -> str:
@@ -104,9 +101,8 @@ def _render_ratio_of_logs(num: int, base_num: int, base_den: int) -> str:
 
 def gk_periodic(tup: ParameterTuple) -> GKReport:
     """Closed-form growth exponent report for a constant or periodic rule."""
-    pattern = _period_pattern(tup)
+    period, mu, sigma = _period(tup)
     p = tup.p
-    mu, sigma = _mu_sigma(p, pattern)
     psig = p**sigma
     if not (mu <= psig <= mu**3):
         raise ArithmeticError(
@@ -119,7 +115,7 @@ def gk_periodic(tup: ParameterTuple) -> GKReport:
         mu=mu,
         sigma=sigma,
         lam=_render_ratio_of_logs(sigma, p, mu),
-        period=len(pattern),
+        period=period,
     )
 
 
@@ -147,6 +143,11 @@ class DensityScan:
         return self.entries[-1][0]
 
 
+# Most cells a density scan takes: the 128 x 128 grid.  The exact re-sort of
+# float near-ties grows much faster than the number of cells.
+SCAN_CELL_CAP = 128 * 128
+
+
 def _exponent_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """sigma_a ln p / ln mu_a <= sigma_b ln p / ln mu_b, exactly."""
     mu_a, sig_a = a
@@ -165,10 +166,17 @@ def gk_density_scan(
     The list is sorted with exact integer comparisons; the gap statistic is
     an outward-rounded upper bound on the widest stretch of the target
     interval containing no exponent, so max_gap <= g certifies density at
-    resolution g.
+    resolution g.  Refuses a non-prime p and grids above SCAN_CELL_CAP cells.
     """
     if S_max < 1 or R_max < 1:
         raise ValueError("grid bounds must be >= 1")
+    if not _is_prime(p):
+        raise TupleRuleError(f"p must be prime, got {p}")
+    if S_max * R_max > SCAN_CELL_CAP:
+        raise ValueError(
+            f"grid too large: {S_max} x {R_max} = {S_max * R_max} cells "
+            f"exceed cap {SCAN_CELL_CAP}"
+        )
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
@@ -242,7 +250,7 @@ def _kappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
     rho = Fraction((s_min + 2) ** D, (s_min + 1) ** D * p)
     if rho >= 1:
         return None
-    first = Fraction((s_min + 1) ** D * p, p**s_min)
+    first = Fraction((s_min + 1) ** D * p, tup.powers(I + 1)[0])
     return first / (1 - rho)
 
 
@@ -268,8 +276,7 @@ def _qkappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
         delta_prev = iv.exp(inner) - tower(iv, p, kap, I, q)  # G(I-1) - G(I-2)
         size_ok = delta_prev.a > 3
         if ratio_ok and size_ok:
-            s_next = tup.materialize(I + 1)[0]
-            return Fraction(p**2, (p - 1) * p**s_next)
+            return Fraction(p**2, (p - 1) * tup.powers(I + 1)[0])
     return None
 
 
@@ -306,8 +313,8 @@ def theta_bounds(
         raise ArithmeticError("tail certification failed for rule " + tup.spec)
 
     lo = Fraction(1)
-    for S, _ in tup.pairs(I + 1):
-        lo *= 1 + Fraction(p, p**S)
+    for i in range(I + 1):
+        lo *= 1 + Fraction(p, tup.powers(i)[0])
     hi = lo * (1 + 2 * tail)
     return lo, hi
 
@@ -334,10 +341,9 @@ def check_growth_sandwich(tup: ParameterTuple, table: GrowthTable) -> Verificati
 
     as plain integer comparisons.
     """
-    pattern = _period_pattern(tup)
+    _, mu, sigma = _period(tup)
     _require_same_rule(tup, table)
     p = tup.p
-    mu, sigma = _mu_sigma(p, pattern)
     rep = VerificationReport(suite="growth-sandwich")
     p3s = p ** (3 * sigma)
     bound_cache: dict[int, tuple[int, int]] = {}

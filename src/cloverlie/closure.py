@@ -353,7 +353,6 @@ def relation_suite(
     """
     ctx = DpContext(tup, depth)
     rep = VerificationReport(suite="relations")
-    p = tup.p
     N = depth
     for i in range(base_index, N):
         S, R = tup.materialize(i)
@@ -375,6 +374,7 @@ def relation_suite(
                 cur = p_power(cur)
     for i in range(base_index, N - 1):
         S, R = tup.materialize(i)
+        PS, PR = tup.powers(i)
         v_i, w_i, u_i = (pivot(ctx, k, i) for k in "vwu")
         v_n, w_n, u_n = (pivot(ctx, k, i + 1) for k in "vwu")
         vS = p_power_iter(v_i, S)
@@ -388,9 +388,9 @@ def relation_suite(
                 kind=kind,
                 i=i,
             )
-        rep.check("regenerate-next", ad_power(w_i, vS, p**R - 1) == v_n, kind="v", i=i)
-        rep.check("regenerate-next", ad_power(v_i, wR, p**S - 1) == w_n, kind="w", i=i)
-        rep.check("regenerate-next", ad_power(v_i, uR, p**S - 1) == u_n, kind="u", i=i)
+        rep.check("regenerate-next", ad_power(w_i, vS, PR - 1) == v_n, kind="v", i=i)
+        rep.check("regenerate-next", ad_power(v_i, wR, PS - 1) == w_n, kind="w", i=i)
+        rep.check("regenerate-next", ad_power(v_i, uR, PS - 1) == u_n, kind="u", i=i)
         h_next = bracket(w_i, v_i)
         h_rhs = _head_cell(ctx, "first", i, (0, 0))
         rep.check(
@@ -406,9 +406,9 @@ def relation_suite(
         wu = bracket(w_i, u_i)
         rep.check("bracket-pair", wu.is_zero(), witness=lambda: f"lhs={wu}", pair="wu", i=i)
         # head grid of the first family: iterated ad-actions vs closed forms
-        for xi in range(p**S):
-            for eta in range(p**R):
-                if xi == p**S - 1 and eta == p**R - 1:
+        for xi in range(PS):
+            for eta in range(PR):
+                if xi == PS - 1 and eta == PR - 1:
                     continue
                 lhs = ad_power(v_i, ad_power(w_i, h_next, eta), xi)
                 swapped = ad_power(w_i, ad_power(v_i, h_next, xi), eta)
@@ -430,8 +430,8 @@ def relation_suite(
                     eta=eta,
                 )
         # head grid of the second family
-        for xi in range(p**S - 1):
-            for zeta in range(p**R):
+        for xi in range(PS - 1):
+            for zeta in range(PR):
                 lhs = ad_power(v_i, ad_power(u_i, g_next, zeta), xi)
                 rhs = _head_cell(ctx, "second", i, (xi, zeta))
                 rep.check(
@@ -741,17 +741,12 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
         )
     ctx = DpContext(tup, depth)
     rep = VerificationReport(suite="self-similarity")
-    p = tup.p
     for kind in "vwu":
         corner: dict[tuple[int, int], int] = {}
         for g in range(period):
-            S, R = tup.materialize(g)
-            if kind == "u":
-                corner[(g, 2)] = p**R - 1
-                corner[(g, 0)] = p**S - 1
-            else:
-                corner[(g, 0)] = p**S - 1
-                corner[(g, 1)] = p**R - 1
+            PS, PR = tup.powers(g)
+            corner[(g, 0)] = PS - 1
+            corner[(g, 2 if kind == "u" else 1)] = PR - 1
         tail = pivot(ctx, kind, period).lmul(AlgebraElement.monomial(ctx, corner))
         head = pivot(ctx, kind, 0) - tail
         ok = not any(

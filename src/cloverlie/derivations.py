@@ -3,11 +3,15 @@
 A derivation is a finite sum  Σ c · t^{(e)} · ∂_a^{p^m}  with c in F_p, t^{(e)}
 a basis monomial, a a variable id and 0 <= m < level_bound(a), stored as one
 flat dict ``terms`` from ``(var, level, degree, exps)`` = (a, m, sum(e), e) to
-c != 0.  The closure's echelon uses the same keys as coordinates: sorted keys
-give the rendering order and ``min`` the echelon lead.  In characteristic p
-every shift ∂_a^{p^m} obeys the Leibniz rule, all shifts commute with each
-other, and every derivation of the truncated algebra is of this shape — so
-the commutator has the closed form
+c != 0.  The sums, scaling, equality and ``repr`` come from
+``dpalgebra.LinearCombination``, shared with ``AlgebraElement``; this module
+adds the key validation, the products and the rendering.  The closure's
+echelon uses the same keys as coordinates: sorted keys give the rendering
+order and ``min`` the echelon lead.
+
+In characteristic p every shift ∂_a^{p^m} obeys the Leibniz rule, all
+shifts commute with each other, and every derivation of the truncated
+algebra is of this shape — so the commutator has the closed form
 
     [f·∂_A, g·∂_B] = f·∂_A(g)·∂_B − g·∂_B(f)·∂_A,
 
@@ -24,10 +28,11 @@ import itertools
 from .dpalgebra import (
     AXES,
     AlgebraElement,
-    ContextMismatchError,
     DpContext,
     DpMonomial,
+    LinearCombination,
     _mul_exps,
+    _render_poly,
     binom_mod_p,
 )
 
@@ -49,10 +54,10 @@ _KIND_AXIS = {"v": 0, "w": 1, "u": 2}
 _KIND_TAIL_AXES = {"v": (0, 1), "w": (1, 0), "u": (2, 0)}
 
 
-class Derivation:
+class Derivation(LinearCombination):
     """Finite sum of c·t^{(e)}·∂_a^{p^m} terms over a fixed truncation context."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
     def __init__(self, ctx: DpContext, terms: dict | None = None):
         """Validate every ``(var, level, degree, exps)`` key; drop zero terms."""
@@ -75,54 +80,18 @@ class Derivation:
             if c:
                 self.terms[key] = c
 
-    @classmethod
-    def _of(cls, ctx: DpContext, terms: dict) -> "Derivation":
-        """Wrap a computed term dict, dropping zero coefficients; no key checks."""
-        res = cls.__new__(cls)
-        res.ctx = ctx
-        res.terms = {k: c for k, c in terms.items() if c}
-        return res
-
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: DpContext) -> "Derivation":
-        return cls._of(ctx, {})
 
     @classmethod
     def shift(cls, ctx: DpContext, var: tuple[int, int], level: int = 0) -> "Derivation":
         """The bare operator ∂_var^{p^level}."""
         return cls(ctx, {(var, level, 0, (0,) * len(ctx.bounds)): 1})
 
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "Derivation") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("context mismatch")
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        self._check(other)
-        p = self.ctx.p
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = (out.get(key, 0) + c) % p
-        return Derivation._of(self.ctx, out)
-
-    def __neg__(self) -> "Derivation":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        return self + (-other)
-
-    def scale(self, c: int) -> "Derivation":
-        p = self.ctx.p
-        c %= p
-        return Derivation._of(self.ctx, {k: v * c % p for k, v in self.terms.items()})
+    # -- products ------------------------------------------------------------
 
     def lmul(self, el: AlgebraElement) -> "Derivation":
         """Left-multiply every coefficient by an algebra element."""
-        if el.ctx != self.ctx:
-            raise ContextMismatchError("context mismatch")
+        self._check(el)
         p, bounds = self.ctx.p, self.ctx.bounds
         out: dict[tuple, int] = {}
         for (var, level, _deg, exps), c in self.terms.items():
@@ -144,30 +113,11 @@ class Derivation:
         return [(i, step, monos) for (i, step), monos in groups.items()]
 
     def apply(self, f: AlgebraElement) -> AlgebraElement:
-        if f.ctx != self.ctx:
-            raise ContextMismatchError("context mismatch")
-        res = AlgebraElement(self.ctx)
+        self._check(f)
         image = _act(self.ctx, self._shifts(), {m.exps: c for m, c in f.terms.items()})
-        res.terms = {DpMonomial(e): c for e, c in image.items()}
-        return res
+        return AlgebraElement._of(self.ctx, {DpMonomial(e): c for e, c in image.items()})
 
     # -- inspection ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Derivation)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("Derivation is not hashable")
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -189,7 +139,7 @@ class Derivation:
                 if e:
                     v, w, u = v - e * ev, w - e * ew, u - e * eu
             parts.setdefault((v, w, u), {})[key] = c
-        return {md: Derivation._of(self.ctx, t) for md, t in parts.items()}
+        return {md: self._of(self.ctx, t) for md, t in parts.items()}
 
     def multidegree(self) -> tuple[int, int, int] | None:
         """Multidegree triple of a homogeneous derivation; None when zero."""
@@ -218,8 +168,8 @@ class Derivation:
             sym = f"∂_{{{AXES[a]}{g}}}"
             if level:
                 sym += f"^{{p^{level}}}"
-            monos = [(DpMonomial(key[3]).render(), c) for key, c in group]
-            txt = " + ".join(m if c == 1 else f"{c}*{m}" for m, c in monos)
+            monos = [(DpMonomial(key[3]), c) for key, c in group]
+            txt = _render_poly(monos)
             if txt == "1":
                 parts.append(sym)
             elif len(monos) == 1:
@@ -227,12 +177,6 @@ class Derivation:
             else:
                 parts.append(f"({txt})·{sym}")
         return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"Derivation({self.render()})"
 
 
 # -- pivots -------------------------------------------------------------------

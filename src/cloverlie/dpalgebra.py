@@ -5,13 +5,19 @@ i < N: the x-variable with exponents 0 <= e < p^{S_i} and the y-, z-variables
 with exponents 0 <= e < p^{R_i}.  A basis monomial is a dense exponent
 vector with one entry per variable in canonical order, so variable (g, a)
 sits at index 3g + a; the context caches the per-variable level counts,
-exponent bounds and grades in the same order.  The product of basis
-monomials adds exponent vectors and carries a binomial coefficient per
-variable (computed mod p by Lucas' theorem); a term dies when an exponent
-would reach its bound.  The
-shift operators send t^{(e)} to t^{(e - p^m)} on one variable and act
-trivially on the others; they are exactly the p^m-th powers of the basic
-first-order shift and vanish once p^m reaches the exponent bound.
+exponent bounds (read from ``ParameterTuple.powers``) and grades in the
+same order.  The product of basis monomials adds exponent vectors and
+carries a binomial coefficient per variable (computed mod p by Lucas'
+theorem); a term dies when an exponent would reach its bound.  The shift
+operators send t^{(e)} to t^{(e - p^m)} on one variable and act trivially
+on the others; they are exactly the p^m-th powers of the basic first-order
+shift and vanish once p^m reaches the exponent bound.
+
+``LinearCombination`` is the vector-space layer of every F_p-linear
+combination over a context: the ``ctx``/``terms`` slots, sums, scaling,
+equality and rendering hooks.  ``AlgebraElement`` (keys are monomials)
+and ``derivations.Derivation`` (keys are shift terms) subclass it and add
+only their constructors, products and rendering.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "ContextMismatchError",
     "DpContext",
     "DpMonomial",
+    "LinearCombination",
     "AlgebraElement",
     "binom_mod_p",
     "dp_mul",
@@ -86,7 +93,8 @@ class DpContext:
     @functools.cached_property
     def bounds(self) -> tuple[int, ...]:
         """Exponent bound p^S or p^R of every variable, in canonical order."""
-        return tuple(self.p**level for level in self.levels)
+        pows = (self.tup.powers(g) for g in range(self.depth))
+        return tuple(b for ps, pr in pows for b in (ps, pr, pr))
 
     @functools.cached_property
     def grades(self) -> tuple[tuple[int, int, int], ...]:
@@ -153,26 +161,92 @@ def _mul_exps(a: tuple, b: tuple, bounds: tuple, p: int):
     return coeff, tuple(map(operator.add, a, b))
 
 
-class AlgebraElement:
-    """An F_p-linear combination of basis monomials in a fixed context."""
+class LinearCombination:
+    """An F_p-linear combination over one truncation context: ``terms`` maps
+    each basis key to its coefficient, reduced mod p and never zero.
+
+    This is the vector-space layer of both :class:`AlgebraElement` (keys are
+    monomials) and ``Derivation`` (keys are shift terms); the subclasses add
+    their constructors, products and rendering.  Values are compared by
+    type, context and terms, and are not hashable.
+    """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: DpContext, terms: dict | None = None):
-        self.ctx = ctx
-        self.terms: dict[DpMonomial, int] = {}
-        if terms:
-            p = ctx.p
-            for mono, c in terms.items():
-                c %= p
-                if c:
-                    self.terms[mono] = c
-
-    # -- constructors -------------------------------------------------------
+    @classmethod
+    def _of(cls, ctx: DpContext, terms: dict):
+        """Wrap a computed term dict, dropping zero coefficients; no key checks."""
+        res = cls.__new__(cls)
+        res.ctx = ctx
+        res.terms = {k: c for k, c in terms.items() if c}
+        return res
 
     @classmethod
-    def zero(cls, ctx: DpContext) -> "AlgebraElement":
-        return cls(ctx)
+    def zero(cls, ctx: DpContext):
+        return cls._of(ctx, {})
+
+    def _check(self, other: "LinearCombination") -> None:
+        if self.ctx != other.ctx:
+            raise ContextMismatchError("context mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        p = self.ctx.p
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = (out.get(key, 0) + c) % p
+        return self._of(self.ctx, out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: int):
+        p = self.ctx.p
+        c %= p
+        return self._of(self.ctx, {k: v * c % p for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.ctx == other.ctx
+            and self.terms == other.terms
+        )
+
+    __hash__ = None  # equal by value, and built by mutating ``terms``
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
+
+def _render_poly(terms) -> str:
+    """``c*m + ...`` for (monomial, coefficient) pairs, unit coefficients bare."""
+    return " + ".join(m.render() if c == 1 else f"{c}*{m.render()}" for m, c in terms)
+
+
+class AlgebraElement(LinearCombination):
+    """An F_p-linear combination of basis monomials in a fixed context."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx: DpContext, terms: dict | None = None):
+        self.ctx = ctx
+        self.terms: dict[DpMonomial, int] = {
+            mono: c % ctx.p for mono, c in (terms or {}).items() if c % ctx.p
+        }
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def one(cls, ctx: DpContext) -> "AlgebraElement":
@@ -193,40 +267,6 @@ class AlgebraElement:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("context mismatch")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        p = self.ctx.p
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            nc = (out.get(mono, 0) + c) % p
-            if nc:
-                out[mono] = nc
-            else:
-                out.pop(mono, None)
-        res = AlgebraElement(self.ctx)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "AlgebraElement":
-        p = self.ctx.p
-        res = AlgebraElement(self.ctx)
-        res.terms = {m: (-c) % p for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, c: int) -> "AlgebraElement":
-        c %= self.ctx.p
-        res = AlgebraElement(self.ctx)
-        if c:
-            res.terms = {m: (k * c) % self.ctx.p for m, k in self.terms.items()}
-        return res
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         p, bounds = self.ctx.p, self.ctx.bounds
@@ -234,18 +274,11 @@ class AlgebraElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 prod = _mul_exps(m1.exps, m2.exps, bounds, p)
-                if prod is None:
-                    continue
-                c, exps = prod
-                mono = DpMonomial(exps)
-                nc = (out.get(mono, 0) + c * c1 * c2) % p
-                if nc:
-                    out[mono] = nc
-                else:
-                    out.pop(mono, None)
-        res = AlgebraElement(self.ctx)
-        res.terms = out
-        return res
+                if prod:
+                    c, exps = prod
+                    mono = DpMonomial(exps)
+                    out[mono] = (out.get(mono, 0) + c * c1 * c2) % p
+        return self._of(self.ctx, out)
 
     def derive(self, var: tuple[int, int], m: int = 0) -> "AlgebraElement":
         """Apply the p^m-th shift of ``var`` termwise.
@@ -262,44 +295,15 @@ class AlgebraElement:
             exps = mono.exps
             if exps[i] >= step:
                 out[DpMonomial(exps[:i] + (exps[i] - step,) + exps[i + 1:])] = c
-        res = AlgebraElement(self.ctx)
-        res.terms = out
-        return res
+        return self._of(self.ctx, out)
 
     # -- inspection ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("AlgebraElement is mutable-by-construction; not hashable")
 
     def sorted_terms(self) -> list[tuple[DpMonomial, int]]:
         return sorted(self.terms.items(), key=lambda t: term_key(self.ctx, t[0]))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            parts.append(mono.render() if c == 1 else f"{c}*{mono.render()}")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"AlgebraElement({self.render()})"
+        return _render_poly(self.sorted_terms()) if self.terms else "0"
 
 
 def term_key(ctx: DpContext, mono: DpMonomial):

@@ -105,7 +105,6 @@ def _bounds_error(msg: str):
 
 def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
     """Raise ValueError("descriptor out of bounds: ...") unless d fits tup."""
-    p = tup.p
     if d.family not in FAMILIES:
         _bounds_error(f"unknown family {d.family!r}")
     n = d.length
@@ -124,6 +123,7 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
             _bounds_error("power families have length >= 1")
         return
     S, R = tup.materialize(n - 1)
+    PS, PR = tup.powers(n - 1)
     if d.family in _POWER_KIND:
         if d.tail:
             _bounds_error("power descriptor with nonempty tail")
@@ -138,12 +138,12 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
         _bounds_error("head must be an exponent pair")
     a, b = d.head
     if d.family == "first":
-        if not (0 <= a <= p**S - 1 and 0 <= b <= p**R - 1):
+        if not (0 <= a <= PS - 1 and 0 <= b <= PR - 1):
             _bounds_error(f"first-family head {d.head} outside its box")
-        if a == p**S - 1 and b == p**R - 1:
+        if a == PS - 1 and b == PR - 1:
             _bounds_error("first-family head at the excluded corner cell")
     else:
-        if not (0 <= a <= p**S - 2 and 0 <= b <= p**R - 1):
+        if not (0 <= a <= PS - 2 and 0 <= b <= PR - 1):
             _bounds_error(f"second-family head {d.head} outside its box")
     if len(d.tail) != n - 1:
         _bounds_error(f"tail must cover generations 0..{n - 2}")
@@ -151,8 +151,8 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
     for i, t in enumerate(d.tail):
         if len(t) != arity:
             _bounds_error(f"tail entry {i} must have {arity} exponents")
-        Si, Ri = tup.materialize(i)
-        caps = (p**Si - 1, p**Ri - 1, p**Ri - 1)[:arity]
+        PSi, PRi = tup.powers(i)
+        caps = (PSi - 1, PRi - 1, PRi - 1)[:arity]
         for e, cap in zip(t, caps):
             if not (0 <= e <= cap):
                 _bounds_error(f"tail exponent {e} of generation {i} outside 0..{cap}")
@@ -204,7 +204,6 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
 
     tup = ctx.tup
     validate_descriptor(d, tup)
-    p = tup.p
     n = d.length
     if n + 1 > ctx.depth:
         raise ValueError(
@@ -216,7 +215,7 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
     g = n - 1
     if d.family in _POWER_KIND:
         return pivot_power(ctx, _POWER_KIND[d.family], g, d.head[0])
-    S, R = tup.materialize(g)
+    PS, PR = tup.powers(g)
 
     tail_exps: dict[tuple[int, int], int] = {}
     for i, t in enumerate(d.tail):
@@ -236,11 +235,11 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
 
     if d.family == "first":
         xi, eta = d.head
-        term_v = head_term("v", p**S - 1 - xi, 1, p**R - 2 - eta)
-        term_w = head_term("w", p**S - 2 - xi, 1, p**R - 1 - eta)
+        term_v = head_term("v", PS - 1 - xi, 1, PR - 2 - eta)
+        term_w = head_term("w", PS - 2 - xi, 1, PR - 1 - eta)
         return term_v - term_w
     xi, zeta = d.head
-    return head_term("u", p**S - 2 - xi, 2, p**R - 1 - zeta)
+    return head_term("u", PS - 2 - xi, 2, PR - 1 - zeta)
 
 
 # -- exact counting engine -------------------------------------------------------
@@ -281,7 +280,6 @@ class _TailEngine:
         assert family in ("first", "second")
         self.tup = tup
         self.family = family
-        self.p = tup.p
         self._caps: list[int] = []
         self._totals: list[int] = [1]
         self._dmax: list[int] = [0]
@@ -292,17 +290,16 @@ class _TailEngine:
         self._lock = threading.RLock()
 
     def _extend(self, k: int) -> None:
-        p = self.p
         with self._lock:
             while len(self._caps) < k:
                 i = len(self._caps)
-                S, R = self.tup.materialize(i)
+                PS, PR = self.tup.powers(i)
                 if self.family == "first":
-                    cap = (p**S - 1) + (p**R - 1)
-                    size = p ** (S + R)
+                    cap = (PS - 1) + (PR - 1)
+                    size = PS * PR
                 else:
-                    cap = (p**S - 1) + 2 * (p**R - 1)
-                    size = p ** (S + 2 * R)
+                    cap = (PS - 1) + 2 * (PR - 1)
+                    size = PS * PR * PR
                 self._caps.append(cap)
                 self._totals.append(self._totals[-1] * size)
                 self._dmax.append(self._dmax[-1] + cap * self.tup.pivot_weight(i))
@@ -317,11 +314,10 @@ class _TailEngine:
 
     def ker_prefix(self, i: int, s: int) -> int:
         """Tail cells of generation i with exponent sum <= s."""
-        p = self.p
-        S, R = self.tup.materialize(i)
+        PS, PR = self.tup.powers(i)
         if self.family == "first":
-            return _box2_prefix(s, p**S, p**R)
-        return _box3_prefix(s, p**S, p**R, p**R)
+            return _box2_prefix(s, PS, PR)
+        return _box3_prefix(s, PS, PR, PR)
 
     def ker_point(self, i: int, s: int) -> int:
         return self.ker_prefix(i, s) - self.ker_prefix(i, s - 1)
@@ -371,16 +367,17 @@ class _TailEngine:
         m >= W_{n-1} p^S (power_v) or m >= W_{n-1} p^R (power_w, power_u).
         The table grows only to the lengths whose least weight is <= m.
         """
-        tup, p = self.tup, self.p
+        tup = self.tup
         with self._lock:
             least, sat, prefix = self._tables.setdefault(family, ([0], [0], [0]))
             while (lw := _least_weight(tup, family, len(least), least[-1])) <= m:
                 n = len(least)
                 W = tup.pivot_weight(n - 1)
                 S, R = tup.materialize(n - 1)
+                PS, PR = tup.powers(n - 1)
                 if family in _POWER_KIND:
-                    full = S if family == "power_v" else R
-                    top = W * p**full
+                    full, bound = (S, PS) if family == "power_v" else (R, PR)
+                    top = W * bound
                 else:
                     P, Q = _head_box(tup, family, n)
                     top = (P + Q) * W
@@ -401,11 +398,8 @@ def _engine(tup: ParameterTuple, family: str) -> _TailEngine:
 
 def _head_box(tup: ParameterTuple, family: str, n: int) -> tuple[int, int]:
     """Box sizes (P, Q) of head cells of a length-n descriptor (n >= 1)."""
-    p = tup.p
-    S, R = tup.materialize(n - 1)
-    if family == "first":
-        return p**S, p**R
-    return p**S - 1, p**R
+    P, Q = tup.powers(n - 1)
+    return (P, Q) if family == "first" else (P - 1, Q)
 
 
 def _least_weight(tup: ParameterTuple, family: str, n: int, prev: int) -> int:
@@ -417,8 +411,7 @@ def _least_weight(tup: ParameterTuple, family: str, n: int, prev: int) -> int:
         return W + 1 if family == "first" else tup.p * W
     if n == 1:
         return 2
-    S, _ = tup.materialize(n - 2)
-    return prev + (tup.p**S - 1) * tup.pivot_weight(n - 2)
+    return prev + (tup.powers(n - 2)[0] - 1) * tup.pivot_weight(n - 2)
 
 
 def _lengths(tup: ParameterTuple, family: str, m: int):
@@ -518,19 +511,19 @@ def family_totals(tup: ParameterTuple, length: int) -> dict[str, int]:
     """Total descriptor counts at one exact length, with no weight bound."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    p = tup.p
     if length == 0:
         return {"first": 2, "second": 1, "power_v": 0, "power_w": 0, "power_u": 0}
     S, R = tup.materialize(length - 1)
+    PS, PR = tup.powers(length - 1)
     tail_first = 1
     tail_second = 1
     for i in range(length - 1):
-        Si, Ri = tup.materialize(i)
-        tail_first *= p ** (Si + Ri)
-        tail_second *= p ** (Si + 2 * Ri)
+        PSi, PRi = tup.powers(i)
+        tail_first *= PSi * PRi
+        tail_second *= PSi * PRi * PRi
     return {
-        "first": (p ** (S + R) - 1) * tail_first,
-        "second": (p**S - 1) * p**R * tail_second,
+        "first": (PS * PR - 1) * tail_first,
+        "second": (PS - 1) * PR * tail_second,
         "power_v": S,
         "power_w": R,
         "power_u": R,
@@ -544,7 +537,6 @@ def _tail_vectors(tup: ParameterTuple, family: str, k: int, req: int):
     """All tails over generations 0..k-1 with deficiency >= req, pruned."""
     eng = _engine(tup, family)
     arity = 2 if family == "first" else 3
-    p = tup.p
 
     def rec(i: int, need: int):
         if i < 0:
@@ -553,8 +545,8 @@ def _tail_vectors(tup: ParameterTuple, family: str, k: int, req: int):
             return
         if need > eng.dmax(i + 1):
             return
-        S, R = tup.materialize(i)
-        caps = (p**S - 1, p**R - 1, p**R - 1)[:arity]
+        PS, PR = tup.powers(i)
+        caps = (PS - 1, PR - 1, PR - 1)[:arity]
         W = tup.pivot_weight(i)
         for cell in itertools.product(*(range(c + 1) for c in caps)):
             d = sum(cell) * W

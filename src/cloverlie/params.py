@@ -169,6 +169,7 @@ class ParameterTuple:
         self.params = params
         self._lock = threading.RLock()
         self._pairs: list[tuple[int, int]] = []
+        self._powers: list[tuple[int, int]] = []
         self._grades: list[tuple[WeightVector, WeightVector, WeightVector]] = [
             (WeightVector(1, 0, 0), WeightVector(0, 1, 0), WeightVector(0, 0, 1))
         ]
@@ -301,6 +302,16 @@ class ParameterTuple:
         with self._lock:
             return tuple(self._pairs[:n])
 
+    def powers(self, n: int) -> tuple[int, int]:
+        """The exponent bounds (p**S_n, p**R_n) of generation n; cached."""
+        if n < 0:
+            raise ValueError("generation index must be >= 0")
+        with self._lock:
+            while len(self._powers) <= n:
+                S, R = self.materialize(len(self._powers))
+                self._powers.append((self.p**S, self.p**R))
+            return self._powers[n]
+
     @property
     def materialized_length(self) -> int:
         with self._lock:
@@ -312,10 +323,8 @@ class ParameterTuple:
         with self._lock:
             while len(self._weights) <= n:
                 i = len(self._weights) - 1
-                S, R = self.materialize(i)
-                self._weights.append(
-                    self._weights[i] * (self.p ** S + self.p ** R - 1)
-                )
+                ps, pr = self.powers(i)
+                self._weights.append(self._weights[i] * (ps + pr - 1))
 
     def pivot_weight(self, n: int) -> int:
         """Common total weight of the three generation-n pivot derivations."""
@@ -328,8 +337,7 @@ class ParameterTuple:
         with self._lock:
             while len(self._grades) <= n:
                 i = len(self._grades) - 1
-                S, R = self.materialize(i)
-                ps, pr = self.p ** S, self.p ** R
+                ps, pr = self.powers(i)
                 gv, gw, gu = self._grades[i]
                 self._grades.append((
                     ps * gv + (pr - 1) * gw,
@@ -355,8 +363,7 @@ class ParameterTuple:
         """
         if N < 2:
             raise ValueError("truncation too shallow: depth must be >= 2")
-        S, _ = self.materialize(N - 2)
-        return (self.p ** S - 1) * self.pivot_weight(N - 2)
+        return (self.powers(N - 2)[0] - 1) * self.pivot_weight(N - 2)
 
     # -- equality / rendering / serialization -------------------------------
 

@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cloverlie import analytics
 from cloverlie import (
     ParameterTuple,
+    TupleRuleError,
     check_cubic_bounds,
     check_growth_sandwich,
     check_quasilinear_bounds,
@@ -86,6 +88,31 @@ def test_density_scan_input_validation():
         gk_density_scan(2, 0, 3)
     with pytest.raises(ValueError):
         gk_density_scan(2, 3, 3, interval=(2.0, 1.0))
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+def test_density_scan_refuses_non_prime(p):
+    with pytest.raises(TupleRuleError, match=f"p must be prime, got {p}"):
+        gk_density_scan(p, 3, 3)
+
+
+def test_density_scan_refuses_oversized_grid():
+    assert analytics.SCAN_CELL_CAP >= 128 * 128  # admits --max 128
+    with pytest.raises(ValueError, match="grid too large"):
+        gk_density_scan(2, 1, analytics.SCAN_CELL_CAP + 1)
+
+
+def test_period_numbers_come_from_the_tuple():
+    # mu is the weight W_q over one period; an entry past the size limit is
+    # refused by the tuple instead of hanging in p**S
+    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
+    rep = gk_periodic(tup)
+    assert (rep.mu, rep.sigma, rep.period) == (tup.pivot_weight(2), 7, 2)
+    huge = ParameterTuple.periodic(3, [(2, 1), (10**12, 1)])
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        gk_periodic(huge)
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        check_growth_sandwich(huge, growth_table(huge, 1))
 
 
 # ---------------------------------------------------------------------------

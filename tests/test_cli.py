@@ -197,6 +197,24 @@ def test_gk_scan_requires_max(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
+def test_gk_scan_refuses_non_prime(capsys, p):
+    code, out, err = run(capsys, "gk", "--scan", "--p", p, "--max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: p must be prime, got {p}"]
+
+
+def test_gk_scan_refuses_oversized_grid(capsys):
+    # refused before any cell is evaluated
+    code, out, err = run(capsys, "gk", "--scan", "--p", "2", "--max", "3000")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: grid too large: 3000 x 3000 = 9000000 cells exceed cap 16384"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # nil
 
@@ -338,6 +356,11 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
         ["growth", "--tuple", "explicit:1,1;100000000000,1", "--max-weight", "100"],
         # the later --p wins: refused before exp^(3) of an argument near 10**230000
         ["growth", "--p", "3", "--tuple", "qkappa:3,1/2", "--max-weight", "100"],
+        # the period's pairs come from the tuple, which refuses p**(10**12)
+        ["gk", "--p", "3", "--tuple", "periodic:2,1;1000000000000,1"],
+        ["bounds", "--p", "3", "--tuple", "periodic:2,1;1000000000000,1",
+         "--max-weight", "1"],
+        ["bounds", "--tuple", "qkappa:4,100", "--max-weight", "100000"],
     ],
     ids=[
         "bounds-qkappa3",
@@ -347,6 +370,9 @@ def test_bounds_suite_mismatch_is_config_error(capsys):
         "bounds-kappa1of100",
         "growth-explicit1e11",
         "growth-qkappa3-half-p3",
+        "gk-periodic1e12-p3",
+        "bounds-periodic1e12-p3",
+        "bounds-qkappa4",
     ],
 )
 def test_bounds_tower_entry_too_large_is_config_error(argv):

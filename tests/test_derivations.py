@@ -346,3 +346,58 @@ def test_flat_matches_nested_reference(rnd, p):
         f = AlgebraElement(c, {DpMonomial(k[3]): v for k, v in E.terms.items()})
         assert D.apply(f) == nested_apply(c, ND, f)
         assert D.lmul(f) == from_nested(c, {k: f * g for k, g in ND.items()})
+
+
+# ---------------------------------------------------------------------------
+# the vector-space layer both types inherit from LinearCombination
+
+SHARED_LAYER = (
+    "_of", "zero", "_check", "__add__", "__neg__", "__sub__", "scale",
+    "is_zero", "__bool__", "__eq__", "__hash__", "__str__", "__repr__",
+)
+
+
+def shared_pair():
+    ctx = make_ctx(p=3, S=1, R=1, depth=2)
+    f = AlgebraElement.monomial(ctx, {(0, 0): 1}, 2)
+    return f, Derivation.shift(ctx, (0, 1)).lmul(f)
+
+
+@pytest.mark.parametrize("cls", [AlgebraElement, Derivation])
+def test_linear_layer_defined_once(cls):
+    # one implementation of each operation: the subclasses only inherit it
+    from cloverlie import LinearCombination
+
+    assert issubclass(cls, LinearCombination)
+    assert not set(SHARED_LAYER) & set(vars(cls))
+
+
+def test_linear_combinations_are_not_hashable():
+    for x in shared_pair():
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_algebra_element_never_equals_derivation():
+    f, D = shared_pair()
+    ctx = f.ctx
+    assert AlgebraElement.zero(ctx) != Derivation.zero(ctx)
+    assert Derivation.zero(ctx) != AlgebraElement.zero(ctx)
+    assert f != D and D != f
+    assert f == AlgebraElement.monomial(ctx, {(0, 0): 1}, 2)
+
+
+def test_repr_names_the_type():
+    f, D = shared_pair()
+    assert repr(f) == "AlgebraElement(2*x0^(1))"
+    assert repr(D) == "Derivation(2*x0^(1)·∂_{y0})"
+    assert str(D) == D.render()
+
+
+def test_linear_operations_keep_the_type():
+    for x in shared_pair():
+        cls = type(x)
+        for y in (x + x, x - x, -x, x.scale(2), x.scale(3), cls.zero(x.ctx)):
+            assert type(y) is cls
+        assert (x - x).is_zero() and not (x - x) and x.scale(3) == cls.zero(x.ctx)
+        assert x + x == -x and x.scale(2) == -x

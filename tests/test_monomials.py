@@ -237,6 +237,9 @@ def test_engine_cache_bounded_and_thread_safe():
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert results == [serial] * 4
+            # the racing threads filled the shared power table exactly once each
+            pairs = tup.pairs(len(tup._powers))
+            assert tup._powers == [(3**S, 3**R) for S, R in pairs]
     finally:
         sys.setswitchinterval(old)
 

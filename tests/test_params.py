@@ -78,6 +78,18 @@ def test_entry_size_limit():
         tup.materialize(25)
 
 
+def test_powers_are_the_exponent_bounds():
+    tup = ParameterTuple.periodic(3, [(2, 1), (1, 3)])
+    assert [tup.powers(n) for n in range(4)] == [(9, 3), (3, 27), (9, 3), (3, 27)]
+    with pytest.raises(ValueError):
+        tup.powers(-1)
+    # the power of an entry past the size limit is refused, never computed
+    tup = ParameterTuple.periodic(3, [(2, 1), (10**12, 1)])
+    assert tup.powers(0) == (9, 3)
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        tup.powers(1)
+
+
 def test_tower_rule_degenerate():
     # a tiny growth target starves the increments and the rule collapses
     tup = ParameterTuple.qkappa(2, 1, "10")

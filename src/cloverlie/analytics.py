@@ -312,9 +312,13 @@ def theta_bounds(
     else:
         raise ArithmeticError("tail certification failed for rule " + tup.spec)
 
-    lo = Fraction(1)
+    # prod (1 + p/p^S_i) = prod (p^S_i + p) / prod p^S_i, reduced once
+    num = den = 1
     for i in range(I + 1):
-        lo *= 1 + Fraction(p, tup.powers(i)[0])
+        PS = tup.powers(i)[0]
+        num *= PS + p
+        den *= PS
+    lo = Fraction(num, den)
     hi = lo * (1 + 2 * tail)
     return lo, hi
 

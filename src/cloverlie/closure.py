@@ -34,6 +34,8 @@ from .derivations import (
 )
 from .monomials import (
     MonomialDescriptor,
+    _COLUMN,
+    _tail_caps,
     count_descriptors,
     enumerate_descriptors,
     monomial_weight,
@@ -335,7 +337,7 @@ def _standard_closure(tup: ParameterTuple, depth: int) -> GradedBasis:
 
 def _head_cell(ctx: DpContext, family: str, i: int, head: tuple[int, int]) -> Derivation:
     """Closed form of the length-(i+1) head cell of a family, all-zero tail."""
-    zero = (0, 0) if family == "first" else (0, 0, 0)
+    zero = (0,) * len(_tail_caps(ctx.tup, family, 0))
     return realize(MonomialDescriptor(family, i + 1, head, (zero,) * i), ctx)
 
 
@@ -528,7 +530,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                     "realize-independence", False,
                     witness=lambda: f"dependent descriptor {d}", descriptor=str(d),
                 )
-            if d.family in ("first", "power_v", "power_w"):
+            if _COLUMN[d.family] == "first":
                 span, vecs = first_span, first_vecs
             else:
                 span, vecs = second_span, second_vecs
@@ -594,14 +596,11 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
             target = (mdi[0] + mdj[0], mdi[1] + mdj[1], mdi[2] + mdj[2])
             if sum(target) > cap:
                 continue
-            res = bracket(Di, Dj)
-            if res.is_zero():
-                rep.check("bracket-grading", True, i=i, j=j)
-                continue
-            comps = res.graded_components()
+            comps = bracket(Di, Dj).graded_components()
             rep.check(
                 "bracket-grading",
-                set(comps) == {target} and _span_member(basis.components, comps),
+                not comps
+                or (set(comps) == {target} and _span_member(basis.components, comps)),
                 witness=lambda: f"components={sorted(comps)} expected={target}",
                 i=i,
                 j=j,
@@ -610,14 +609,11 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
         target = (p * mdi[0], p * mdi[1], p * mdi[2])
         if sum(target) > cap:
             continue
-        res = p_power(Di)
-        if res.is_zero():
-            rep.check("power-grading", True, i=i)
-            continue
-        comps = res.graded_components()
+        comps = p_power(Di).graded_components()
         rep.check(
             "power-grading",
-            set(comps) == {target} and _span_member(basis.components, comps),
+            not comps
+            or (set(comps) == {target} and _span_member(basis.components, comps)),
             witness=lambda: f"components={sorted(comps)} expected={target}",
             i=i,
         )
@@ -691,11 +687,13 @@ def sample_nil_chains(
     is itself sampled from cap/p², cap/p, and cap (favoring small budgets so
     that several chain steps stay inside the trusted zone).  The closure is
     the one the verification suites share for this (tuple, depth); there is
-    no parameter to pass another basis.  A negative sample count raises
-    ValueError.
+    no parameter to pass another basis.  A negative sample count or a
+    max_terms below 1 raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     basis = _standard_closure(tup, depth)
     ctx, cap = basis.ctx, basis.cap
     rng = random.Random(seed)

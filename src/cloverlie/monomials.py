@@ -1,6 +1,6 @@
 """Symbolic basis descriptors, their weights, realization, and exact counting.
 
-The graded basis of the 3-generated algebra splits into four families:
+The graded basis of the 3-generated algebra splits into five families:
 
 * ``first``   — length 0: the two generators that shift x / y; length n >= 1:
   a head cell (ξ, η) over generation n-1 (the bottom-right corner cell is
@@ -11,6 +11,12 @@ The graded basis of the 3-generated algebra splits into four families:
 * ``power_v`` / ``power_w`` / ``power_u`` — iterated p-th powers of the
   generation n-1 recursive generator, exponent index 1 <= m <= S (for v)
   or 1 <= m <= R (for w, u).
+
+Each family fact has one definition that every reader calls: ``_GENERATORS``
+(pivot kinds of the length-0 generators), ``_head_box`` (head box P × Q),
+``_tail_caps`` (largest exponents of a tail cell; its length is the arity),
+``_box_prefix`` (cells of a box with exponent sum <= s) and ``_COLUMN`` /
+``_columns`` (growth-table columns of the five families).
 
 Weights live in the mixed-radix ladder W_{i+1} = (p^{S_i} + p^{R_i} - 1) W_i:
 every variable of generation i contributes weight W_i per unit exponent, a
@@ -58,6 +64,8 @@ __all__ = [
 FAMILIES = ("first", "second", "power_v", "power_w", "power_u")
 _FAMILY_RANK = {f: i for i, f in enumerate(FAMILIES)}
 _POWER_KIND = {"power_v": "v", "power_w": "w", "power_u": "u"}
+# Pivot kinds of the length-0 generators; a family absent here has none.
+_GENERATORS = {"first": "vw", "second": "u"}
 # The engine of the growth-table column a family is counted in holds its length table.
 _COLUMN = {f: "second" if f in ("second", "power_u") else "first" for f in FAMILIES}
 
@@ -87,8 +95,7 @@ class MonomialDescriptor:
 
     def describe(self) -> str:
         if self.length == 0:
-            name = {"first": ("v0", "w0"), "second": ("u0",)}[self.family][self.head[0]]
-            return name
+            return f"{_GENERATORS[self.family][self.head[0]]}0"
         if self.family in _POWER_KIND:
             return f"{_POWER_KIND[self.family]}{self.length - 1}^(p^{self.head[0]})"
         sym = "h" if self.family == "first" else "g"
@@ -113,18 +120,15 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
     if n == 0:
         if d.tail:
             _bounds_error("length-0 descriptor with nonempty tail")
-        if d.family == "first":
-            if d.head not in ((0,), (1,)):
-                _bounds_error("length-0 first-family head must be (0,) or (1,)")
-        elif d.family == "second":
-            if d.head != (0,):
-                _bounds_error("length-0 second-family head must be (0,)")
-        else:
+        if d.family not in _GENERATORS:
             _bounds_error("power families have length >= 1")
+        heads = [(j,) for j in range(len(_GENERATORS[d.family]))]
+        if d.head not in heads:
+            names = " or ".join(map(str, heads))
+            _bounds_error(f"length-0 {d.family}-family head must be {names}")
         return
-    S, R = tup.materialize(n - 1)
-    PS, PR = tup.powers(n - 1)
     if d.family in _POWER_KIND:
+        S, R = tup.materialize(n - 1)
         if d.tail:
             _bounds_error("power descriptor with nonempty tail")
         if len(d.head) != 1:
@@ -137,22 +141,17 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
     if len(d.head) != 2:
         _bounds_error("head must be an exponent pair")
     a, b = d.head
-    if d.family == "first":
-        if not (0 <= a <= PS - 1 and 0 <= b <= PR - 1):
-            _bounds_error(f"first-family head {d.head} outside its box")
-        if a == PS - 1 and b == PR - 1:
-            _bounds_error("first-family head at the excluded corner cell")
-    else:
-        if not (0 <= a <= PS - 2 and 0 <= b <= PR - 1):
-            _bounds_error(f"second-family head {d.head} outside its box")
+    P, Q = _head_box(tup, d.family, n)
+    if not (0 <= a < P and 0 <= b < Q):
+        _bounds_error(f"{d.family}-family head {d.head} outside its box")
+    if d.family == "first" and (a, b) == (P - 1, Q - 1):
+        _bounds_error("first-family head at the excluded corner cell")
     if len(d.tail) != n - 1:
         _bounds_error(f"tail must cover generations 0..{n - 2}")
-    arity = 2 if d.family == "first" else 3
     for i, t in enumerate(d.tail):
-        if len(t) != arity:
-            _bounds_error(f"tail entry {i} must have {arity} exponents")
-        PSi, PRi = tup.powers(i)
-        caps = (PSi - 1, PRi - 1, PRi - 1)[:arity]
+        caps = _tail_caps(tup, d.family, i)
+        if len(t) != len(caps):
+            _bounds_error(f"tail entry {i} must have {len(caps)} exponents")
         for e, cap in zip(t, caps):
             if not (0 <= e <= cap):
                 _bounds_error(f"tail exponent {e} of generation {i} outside 0..{cap}")
@@ -164,27 +163,18 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
 def monomial_weight(d: MonomialDescriptor, tup: ParameterTuple) -> WeightVector:
     """Exact multidegree of the descriptor; its ``total`` is the weight."""
     validate_descriptor(d, tup)
-    p = tup.p
     n = d.length
     if n == 0:
-        kind = ("v", "w")[d.head[0]] if d.family == "first" else "u"
-        return tup.pivot_multidegree(0, kind)
+        return tup.pivot_multidegree(0, _GENERATORS[d.family][d.head[0]])
     if d.family in _POWER_KIND:
-        return tup.pivot_multidegree(n - 1, _POWER_KIND[d.family]) * (p ** d.head[0])
-    gv = tup.pivot_multidegree(n - 1, "v")
-    if d.family == "first":
-        xi, eta = d.head
-        acc = gv * (xi + 1) + tup.pivot_multidegree(n - 1, "w") * (eta + 1)
-        for i, (txi, teta) in enumerate(d.tail):
-            acc = acc - tup.pivot_multidegree(i, "v") * txi
-            acc = acc - tup.pivot_multidegree(i, "w") * teta
-        return acc
-    xi, zeta = d.head
-    acc = gv * (xi + 1) + tup.pivot_multidegree(n - 1, "u") * (zeta + 1)
-    for i, (txi, teta, tzeta) in enumerate(d.tail):
-        acc = acc - tup.pivot_multidegree(i, "v") * txi
-        acc = acc - tup.pivot_multidegree(i, "w") * teta
-        acc = acc - tup.pivot_multidegree(i, "u") * tzeta
+        return tup.pivot_multidegree(n - 1, _POWER_KIND[d.family]) * (tup.p ** d.head[0])
+    # head cell (ξ, η) for ``first``, (ξ, ζ) for ``second``; tail cells (ξ, η[, ζ])
+    xi, other = d.head
+    acc = tup.pivot_multidegree(n - 1, "v") * (xi + 1)
+    acc = acc + tup.pivot_multidegree(n - 1, "w" if d.family == "first" else "u") * (other + 1)
+    for i, cell in enumerate(d.tail):
+        for kind, e in zip("vwu", cell):
+            acc = acc - tup.pivot_multidegree(i, kind) * e
     return acc
 
 
@@ -210,8 +200,7 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
             f"generation beyond truncation: length {n} needs depth >= {n + 1}"
         )
     if n == 0:
-        kind = ("v", "w")[d.head[0]] if d.family == "first" else "u"
-        return pivot(ctx, kind, 0)
+        return pivot(ctx, _GENERATORS[d.family][d.head[0]], 0)
     g = n - 1
     if d.family in _POWER_KIND:
         return pivot_power(ctx, _POWER_KIND[d.family], g, d.head[0])
@@ -245,31 +234,26 @@ def realize(d: MonomialDescriptor, ctx) -> "Derivation":
 # -- exact counting engine -------------------------------------------------------
 
 
-def _B2(t: int) -> int:
-    return (t + 1) * (t + 2) // 2 if t >= 0 else 0
+def _box_prefix(s: int, sides) -> int:
+    """Lattice points of [0, sides[0]) × [0, sides[1]) × ... with coordinate sum <= s.
+
+    Inclusion–exclusion over the set of sides a point overshoots: shifting
+    those coordinates down by their sides leaves a point of the simplex of
+    sum <= s - (their sides), and that simplex in d dimensions holds
+    C(t + d, d) points for t >= 0.
+    """
+    d = len(sides)
+    corners = [(0, 1)]
+    for side in sides:
+        corners += [(c + side, -sign) for c, sign in corners]
+    return sum(sign * math.comb(s - c + d, d) for c, sign in corners if c <= s)
 
 
-def _B3(t: int) -> int:
-    return (t + 1) * (t + 2) * (t + 3) // 6 if t >= 0 else 0
-
-
-def _box2_prefix(s: int, P: int, Q: int) -> int:
-    """Lattice points (a, b), 0 <= a < P, 0 <= b < Q, a + b <= s."""
-    return _B2(s) - _B2(s - P) - _B2(s - Q) + _B2(s - P - Q)
-
-
-def _box3_prefix(s: int, P: int, Q1: int, Q2: int) -> int:
-    """Lattice points in [0,P)×[0,Q1)×[0,Q2) with coordinate sum <= s."""
-    return (
-        _B3(s)
-        - _B3(s - P)
-        - _B3(s - Q1)
-        - _B3(s - Q2)
-        + _B3(s - P - Q1)
-        + _B3(s - P - Q2)
-        + _B3(s - Q1 - Q2)
-        - _B3(s - P - Q1 - Q2)
-    )
+def _tail_caps(tup: ParameterTuple, family: str, i: int) -> tuple[int, ...]:
+    """Largest exponents of a generation-i tail cell: (ξ, η) for ``first``,
+    (ξ, η, ζ) for ``second``; the arity is the length."""
+    PS, PR = tup.powers(i)
+    return (PS - 1, PR - 1) if family == "first" else (PS - 1, PR - 1, PR - 1)
 
 
 class _TailEngine:
@@ -280,7 +264,8 @@ class _TailEngine:
         assert family in ("first", "second")
         self.tup = tup
         self.family = family
-        self._caps: list[int] = []
+        self._caps: list[int] = []  # largest exponent sum of a generation-i cell
+        self._sides: list[tuple[int, ...]] = []  # its box of exponents
         self._totals: list[int] = [1]
         self._dmax: list[int] = [0]
         self._memo: dict[tuple[int, int], int] = {}
@@ -293,15 +278,11 @@ class _TailEngine:
         with self._lock:
             while len(self._caps) < k:
                 i = len(self._caps)
-                PS, PR = self.tup.powers(i)
-                if self.family == "first":
-                    cap = (PS - 1) + (PR - 1)
-                    size = PS * PR
-                else:
-                    cap = (PS - 1) + 2 * (PR - 1)
-                    size = PS * PR * PR
+                caps = _tail_caps(self.tup, self.family, i)
+                cap = sum(caps)
                 self._caps.append(cap)
-                self._totals.append(self._totals[-1] * size)
+                self._sides.append(tuple(c + 1 for c in caps))
+                self._totals.append(self._totals[-1] * math.prod(self._sides[-1]))
                 self._dmax.append(self._dmax[-1] + cap * self.tup.pivot_weight(i))
 
     def total(self, k: int) -> int:
@@ -313,11 +294,9 @@ class _TailEngine:
         return self._dmax[k]
 
     def ker_prefix(self, i: int, s: int) -> int:
-        """Tail cells of generation i with exponent sum <= s."""
-        PS, PR = self.tup.powers(i)
-        if self.family == "first":
-            return _box2_prefix(s, PS, PR)
-        return _box3_prefix(s, PS, PR, PR)
+        """Tail cells of generation i with exponent sum <= s (i below the
+        extended length)."""
+        return _box_prefix(s, self._sides[i])
 
     def ker_point(self, i: int, s: int) -> int:
         return self.ker_prefix(i, s) - self.ker_prefix(i, s - 1)
@@ -454,9 +433,9 @@ def _count_headed(eng: _TailEngine, n: int, m: int) -> int:
     s_cut = min((m + dmax) // W - 2, smax)
     acc = 0
     if s_full >= 0:
-        acc = _box2_prefix(s_full, P, Q) * total
+        acc = _box_prefix(s_full, (P, Q)) * total
     for s in range(max(s_full + 1, 0), s_cut + 1):
-        c = _box2_prefix(s, P, Q) - _box2_prefix(s - 1, P, Q)
+        c = _box_prefix(s, (P, Q)) - _box_prefix(s - 1, (P, Q))
         if c:
             acc += c * eng.at_least(k, (s + 2) * W - m)
     if family == "first":
@@ -498,7 +477,7 @@ def count_descriptors(
             acc, lengths = 0, [length]
         for n in lengths:
             if n == 0:
-                acc += {"first": 2, "second": 1}.get(f, 0) if max_weight >= 1 else 0
+                acc += len(_GENERATORS.get(f, "")) if max_weight >= 1 else 0
             elif f in _POWER_KIND:
                 acc += len(_power_weights(tup, f, n, max_weight))
             else:
@@ -512,22 +491,14 @@ def family_totals(tup: ParameterTuple, length: int) -> dict[str, int]:
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
-        return {"first": 2, "second": 1, "power_v": 0, "power_w": 0, "power_u": 0}
+        return {f: len(_GENERATORS.get(f, "")) for f in FAMILIES}
     S, R = tup.materialize(length - 1)
-    PS, PR = tup.powers(length - 1)
-    tail_first = 1
-    tail_second = 1
-    for i in range(length - 1):
-        PSi, PRi = tup.powers(i)
-        tail_first *= PSi * PRi
-        tail_second *= PSi * PRi * PRi
-    return {
-        "first": (PS * PR - 1) * tail_first,
-        "second": (PS - 1) * PR * tail_second,
-        "power_v": S,
-        "power_w": R,
-        "power_u": R,
-    }
+    out = {}
+    for f in ("first", "second"):
+        P, Q = _head_box(tup, f, length)
+        tails = math.prod(c + 1 for i in range(length - 1) for c in _tail_caps(tup, f, i))
+        out[f] = (P * Q - (f == "first")) * tails
+    return {**out, "power_v": S, "power_w": R, "power_u": R}
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -536,7 +507,6 @@ def family_totals(tup: ParameterTuple, length: int) -> dict[str, int]:
 def _tail_vectors(tup: ParameterTuple, family: str, k: int, req: int):
     """All tails over generations 0..k-1 with deficiency >= req, pruned."""
     eng = _engine(tup, family)
-    arity = 2 if family == "first" else 3
 
     def rec(i: int, need: int):
         if i < 0:
@@ -545,8 +515,7 @@ def _tail_vectors(tup: ParameterTuple, family: str, k: int, req: int):
             return
         if need > eng.dmax(i + 1):
             return
-        PS, PR = tup.powers(i)
-        caps = (PS - 1, PR - 1, PR - 1)[:arity]
+        caps = _tail_caps(tup, family, i)
         W = tup.pivot_weight(i)
         for cell in itertools.product(*(range(c + 1) for c in caps)):
             d = sum(cell) * W
@@ -570,11 +539,8 @@ def enumerate_descriptors(
             raise ValueError(f"unknown family {f!r}")
     found: list[tuple[int, MonomialDescriptor]] = []
     for f in fams:
-        if f == "first":
-            found.append((1, MonomialDescriptor("first", 0, (0,))))
-            found.append((1, MonomialDescriptor("first", 0, (1,))))
-        elif f == "second":
-            found.append((1, MonomialDescriptor("second", 0, (0,))))
+        for j in range(len(_GENERATORS.get(f, ""))):
+            found.append((1, MonomialDescriptor(f, 0, (j,))))
         for n, W in _lengths(tup, f, max_weight):
             if f in _POWER_KIND:
                 for j, val in enumerate(_power_weights(tup, f, n, max_weight), 1):
@@ -617,8 +583,8 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
         return None
     out = {f: np.zeros(M + 1, dtype=np.int64) for f in FAMILIES}
     if M >= 1:
-        out["first"][1] = 2
-        out["second"][1] = 1
+        for fam, kinds in _GENERATORS.items():
+            out[fam][1] = len(kinds)
     for fam in ("first", "second"):
         eng = _engine(tup, fam)
         arr = out[fam]
@@ -641,7 +607,7 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
             smax = (P - 1) + (Q - 1)
             s_hi = min(smax, (M + eng.dmax(k)) // W - 2)
             for s in range(0, s_hi + 1):
-                c = _box2_prefix(s, P, Q) - _box2_prefix(s - 1, P, Q)
+                c = _box_prefix(s, (P, Q)) - _box_prefix(s - 1, (P, Q))
                 if fam == "first" and s == smax:
                     c -= 1
                 if not c:
@@ -754,8 +720,9 @@ class GrowthTable:
         )
 
 
-def _cumulative_at(tup: ParameterTuple, m: int) -> tuple[int, int, int, int]:
-    counts = count_descriptors(tup, m)
+def _columns(counts):
+    """Growth-table columns (first, second, power_first, power_second) of
+    per-family counts, plain ints or arrays alike."""
     return (
         counts["first"],
         counts["second"],
@@ -793,16 +760,13 @@ def growth_table(
         if dense is not None:
             # Column-wise over weights 1..M; the int64 totals are safe by the
             # same M^3 bound as _DENSE_ROW_CAP.  tolist() yields Python ints.
-            cum = {f: np.cumsum(dense[f][1:]) for f in FAMILIES}
-            fi, se = cum["first"], cum["second"]
-            pf, ps = cum["power_v"] + cum["power_w"], cum["power_u"]
-            cols = (fi, se, pf, ps, fi + se + pf + ps)
-            rows = list(zip(ms, *(c.tolist() for c in cols)))
+            cols = _columns({f: np.cumsum(dense[f][1:]) for f in FAMILIES})
+            rows = list(zip(ms, *(c.tolist() for c in (*cols, sum(cols)))))
             # Cross-check every pivot-ladder weight below max_weight, then
             # the last row, against the big-integer engine.
             for n in itertools.count():
                 m = min(tup.pivot_weight(n), max_weight)
-                if rows[m - 1][1:5] != _cumulative_at(tup, m):
+                if rows[m - 1][1:5] != _columns(count_descriptors(tup, m)):
                     raise RuntimeError("counting engines disagree")
                 if m == max_weight:
                     break
@@ -817,6 +781,6 @@ def growth_table(
             raise ValueError(f"table too large: {len(ms)} rows exceed cap {TABLE_ROW_CAP}")
     rows = []
     for m in ms:
-        fi, se, pf, ps = _cumulative_at(tup, m)
-        rows.append((m, fi, se, pf, ps, fi + se + pf + ps))
+        cols = _columns(count_descriptors(tup, m))
+        rows.append((m, *cols, sum(cols)))
     return GrowthTable(p=tup.p, tuple_spec=tup.spec, rows=rows)

@@ -170,6 +170,11 @@ def test_theta_enclosure_tower_rule():
     lo, hi = theta_bounds(tup)
     # entries after S_0 = 1 are huge, so the product is barely above 2
     assert Fraction(2) <= lo <= hi < Fraction(21, 10)
+    # reference: the partial product through I = 5, one factor at a time
+    ref = Fraction(1)
+    for i in range(6):
+        ref *= 1 + Fraction(tup.p, tup.powers(i)[0])
+    assert theta_bounds(tup, 5)[0] == ref
 
 
 def test_results_ignore_callers_mpmath_settings():

@@ -275,6 +275,29 @@ def test_nil_rejects_negative_samples(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("max_terms", ["0", "-2"])
+def test_nil_rejects_max_terms_below_one(capsys, max_terms):
+    code, out, err = run(
+        capsys,
+        "nil",
+        "--p",
+        "2",
+        "--tuple",
+        "constant:1,1",
+        "--depth",
+        "4",
+        "--samples",
+        "3",
+        "--seed",
+        "7",
+        "--max-terms",
+        max_terms,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: max_terms must be >= 1, got {max_terms}"]
+
+
 def test_nil_deterministic(capsys):
     args = (
         "nil",

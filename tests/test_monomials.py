@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -156,6 +157,30 @@ def test_validate_descriptor_errors():
         validate_descriptor(MonomialDescriptor("bogus", 1, (0, 0)), TUP2)
     with pytest.raises(ValueError, match="tail entry"):
         validate_descriptor(MonomialDescriptor("first", 2, (0, 0), ((0, 0, 0),)), TUP2)
+
+
+def test_box_prefix_matches_lattice_count():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        sides = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        sums = [sum(pt) for pt in itertools.product(*(range(n) for n in sides))]
+        for s in range(-2, sum(sides) + 2):
+            assert monomials._box_prefix(s, sides) == sum(t <= s for t in sums), (s, sides)
+
+
+def test_enumerated_descriptors_validate():
+    rules = {
+        2: [(1, 1), (2, 1), (1, 2), (1, 1)],
+        3: [(1, 2), (2, 1), (1, 1)],
+        5: [(2, 1), (1, 2), (1, 1)],
+    }
+    for p, pairs in rules.items():
+        tup = ParameterTuple.explicit(p, pairs)
+        descs = list(enumerate_descriptors(tup, 60))
+        assert {d.family for d in descs} == set(FAMILIES)
+        assert any(d.tail for d in descs)
+        for d in descs:
+            validate_descriptor(d, tup)
 
 
 def test_descriptor_labels_are_distinct():

@@ -207,7 +207,7 @@ def _cmd_bounds(args) -> int:
     tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
     suite = args.suite
     if suite is None:
-        suite = "period" if tup.kind in ("constant", "periodic") else "quasilinear"
+        suite = "quasilinear" if tup.period is None else "period"
     if suite == "period":
         table = growth_table(tup, args.max_weight)
         rep = check_growth_sandwich(tup, table)

@@ -25,6 +25,7 @@ from .params import ParameterTuple
 from .dpalgebra import AlgebraElement, ContextMismatchError, DpContext
 from .derivations import (
     Derivation,
+    _KIND_TAIL_AXES,
     ad_power,
     bracket,
     p_power,
@@ -35,6 +36,7 @@ from .derivations import (
 from .monomials import (
     MonomialDescriptor,
     _COLUMN,
+    _head_cells,
     _tail_caps,
     count_descriptors,
     enumerate_descriptors,
@@ -408,42 +410,38 @@ def relation_suite(
         wu = bracket(w_i, u_i)
         rep.check("bracket-pair", wu.is_zero(), witness=lambda: f"lhs={wu}", pair="wu", i=i)
         # head grid of the first family: iterated ad-actions vs closed forms
-        for xi in range(PS):
-            for eta in range(PR):
-                if xi == PS - 1 and eta == PR - 1:
-                    continue
-                lhs = ad_power(v_i, ad_power(w_i, h_next, eta), xi)
-                swapped = ad_power(w_i, ad_power(v_i, h_next, xi), eta)
-                rhs = _head_cell(ctx, "first", i, (xi, eta))
-                rep.check(
-                    "head-grid-first",
-                    lhs == rhs,
-                    witness=lambda: f"lhs={lhs} rhs={rhs}",
-                    i=i,
-                    xi=xi,
-                    eta=eta,
-                )
-                rep.check(
-                    "head-grid-order",
-                    lhs == swapped,
-                    witness=lambda: f"vw-first={lhs} wv-first={swapped}",
-                    i=i,
-                    xi=xi,
-                    eta=eta,
-                )
+        for xi, eta in _head_cells(tup, "first", i + 1):
+            lhs = ad_power(v_i, ad_power(w_i, h_next, eta), xi)
+            swapped = ad_power(w_i, ad_power(v_i, h_next, xi), eta)
+            rhs = _head_cell(ctx, "first", i, (xi, eta))
+            rep.check(
+                "head-grid-first",
+                lhs == rhs,
+                witness=lambda: f"lhs={lhs} rhs={rhs}",
+                i=i,
+                xi=xi,
+                eta=eta,
+            )
+            rep.check(
+                "head-grid-order",
+                lhs == swapped,
+                witness=lambda: f"vw-first={lhs} wv-first={swapped}",
+                i=i,
+                xi=xi,
+                eta=eta,
+            )
         # head grid of the second family
-        for xi in range(PS - 1):
-            for zeta in range(PR):
-                lhs = ad_power(v_i, ad_power(u_i, g_next, zeta), xi)
-                rhs = _head_cell(ctx, "second", i, (xi, zeta))
-                rep.check(
-                    "head-grid-second",
-                    lhs == rhs,
-                    witness=lambda: f"lhs={lhs} rhs={rhs}",
-                    i=i,
-                    xi=xi,
-                    zeta=zeta,
-                )
+        for xi, zeta in _head_cells(tup, "second", i + 1):
+            lhs = ad_power(v_i, ad_power(u_i, g_next, zeta), xi)
+            rhs = _head_cell(ctx, "second", i, (xi, zeta))
+            rep.check(
+                "head-grid-second",
+                lhs == rhs,
+                witness=lambda: f"lhs={lhs} rhs={rhs}",
+                i=i,
+                xi=xi,
+                zeta=zeta,
+            )
     return rep
 
 
@@ -727,11 +725,7 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
     the generation-q pivot of the same kind; the generation-q pivots then
     satisfy the whole relation suite with shifted indices.
     """
-    if tup.kind == "constant":
-        period = 1
-    elif tup.kind == "periodic":
-        period = len(tup.params["pattern"])
-    else:
+    if (period := tup.period) is None:
         raise ValueError("self-similarity requires periodic tuple")
     if depth < 2 * period:
         raise ValueError(
@@ -740,11 +734,11 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
     ctx = DpContext(tup, depth)
     rep = VerificationReport(suite="self-similarity")
     for kind in "vwu":
-        corner: dict[tuple[int, int], int] = {}
-        for g in range(period):
-            PS, PR = tup.powers(g)
-            corner[(g, 0)] = PS - 1
-            corner[(g, 2 if kind == "u" else 1)] = PR - 1
+        corner = {
+            (g, a): ctx.exponent_bound((g, a)) - 1
+            for g in range(period)
+            for a in _KIND_TAIL_AXES[kind]
+        }
         tail = pivot(ctx, kind, period).lmul(AlgebraElement.monomial(ctx, corner))
         head = pivot(ctx, kind, 0) - tail
         ok = not any(

@@ -14,9 +14,11 @@ The graded basis of the 3-generated algebra splits into five families:
 
 Each family fact has one definition that every reader calls: ``_GENERATORS``
 (pivot kinds of the length-0 generators), ``_head_box`` (head box P × Q),
-``_tail_caps`` (largest exponents of a tail cell; its length is the arity),
-``_box_prefix`` (cells of a box with exponent sum <= s) and ``_COLUMN`` /
-``_columns`` (growth-table columns of the five families).
+``_excluded_heads`` (the corner cell ``first`` leaves out; ``_head_count``
+counts the rest), ``_power_bound`` (S or R, the power families' exponent
+bound), ``_tail_caps`` (largest exponents of a tail cell; its length is the
+arity), ``_box_prefix`` (cells of a box with exponent sum <= s) and
+``_COLUMN`` / ``_columns`` (growth-table columns of the five families).
 
 Weights live in the mixed-radix ladder W_{i+1} = (p^{S_i} + p^{R_i} - 1) W_i:
 every variable of generation i contributes weight W_i per unit exponent, a
@@ -128,13 +130,12 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
             _bounds_error(f"length-0 {d.family}-family head must be {names}")
         return
     if d.family in _POWER_KIND:
-        S, R = tup.materialize(n - 1)
         if d.tail:
             _bounds_error("power descriptor with nonempty tail")
         if len(d.head) != 1:
             _bounds_error("power head must be a single exponent index")
         m = d.head[0]
-        bound = S if d.family == "power_v" else R
+        bound = _power_bound(d.family, tup.materialize(n - 1))
         if not (1 <= m <= bound):
             _bounds_error(f"power exponent index {m} outside 1..{bound}")
         return
@@ -144,7 +145,7 @@ def validate_descriptor(d: MonomialDescriptor, tup: ParameterTuple) -> None:
     P, Q = _head_box(tup, d.family, n)
     if not (0 <= a < P and 0 <= b < Q):
         _bounds_error(f"{d.family}-family head {d.head} outside its box")
-    if d.family == "first" and (a, b) == (P - 1, Q - 1):
+    if (a, b) in _excluded_heads(d.family, P, Q):
         _bounds_error("first-family head at the excluded corner cell")
     if len(d.tail) != n - 1:
         _bounds_error(f"tail must cover generations 0..{n - 2}")
@@ -343,7 +344,7 @@ class _TailEngine:
         (hold all their ``count`` descriptors) and m cuts lengths n0+1..n1.
 
         Length n is saturated once m >= (P + Q) W_{n-1} for head box (P, Q),
-        m >= W_{n-1} p^S (power_v) or m >= W_{n-1} p^R (power_w, power_u).
+        or m >= W_{n-1} p^M for the power families' exponent bound M.
         The table grows only to the lengths whose least weight is <= m.
         """
         tup = self.tup
@@ -352,15 +353,13 @@ class _TailEngine:
             while (lw := _least_weight(tup, family, len(least), least[-1])) <= m:
                 n = len(least)
                 W = tup.pivot_weight(n - 1)
-                S, R = tup.materialize(n - 1)
-                PS, PR = tup.powers(n - 1)
                 if family in _POWER_KIND:
-                    full, bound = (S, PS) if family == "power_v" else (R, PR)
-                    top = W * bound
+                    full = _power_bound(family, tup.materialize(n - 1))
+                    top = W * _power_bound(family, tup.powers(n - 1))
                 else:
                     P, Q = _head_box(tup, family, n)
                     top = (P + Q) * W
-                    full = (P * Q - (family == "first")) * self.total(n - 1)
+                    full = _head_count(family, P, Q, P + Q - 2) * self.total(n - 1)
                 least.append(lw)
                 sat.append(max(sat[-1], top))
                 prefix.append(prefix[-1] + full)
@@ -379,6 +378,31 @@ def _head_box(tup: ParameterTuple, family: str, n: int) -> tuple[int, int]:
     """Box sizes (P, Q) of head cells of a length-n descriptor (n >= 1)."""
     P, Q = tup.powers(n - 1)
     return (P, Q) if family == "first" else (P - 1, Q)
+
+
+def _excluded_heads(family: str, P: int, Q: int) -> tuple[tuple[int, int], ...]:
+    """Cells of the P × Q head box that are not heads: the bottom-right
+    corner (P-1, Q-1) for ``first``, none for ``second``."""
+    return ((P - 1, Q - 1),) if family == "first" else ()
+
+
+def _head_count(family: str, P: int, Q: int, s: int) -> int:
+    """Head cells of the family's P × Q box with exponent sum <= s."""
+    return _box_prefix(s, (P, Q)) - sum(a + b <= s for a, b in _excluded_heads(family, P, Q))
+
+
+def _head_cells(tup: ParameterTuple, family: str, n: int):
+    """The head cells of a length-n descriptor (n >= 1), row by row."""
+    P, Q = _head_box(tup, family, n)
+    excluded = _excluded_heads(family, P, Q)
+    return ((a, b) for a in range(P) for b in range(Q) if (a, b) not in excluded)
+
+
+def _power_bound(family: str, pair: tuple[int, int]) -> int:
+    """The entry of a generation pair, (S, R) or (p^S, p^R), that bounds the
+    exponent index of a power family: S for ``power_v``, R for ``power_w``
+    and ``power_u``."""
+    return pair[family != "power_v"]
 
 
 def _least_weight(tup: ParameterTuple, family: str, n: int, prev: int) -> int:
@@ -405,8 +429,7 @@ def _lengths(tup: ParameterTuple, family: str, m: int):
 
 def _power_weights(tup: ParameterTuple, family: str, n: int, m: int) -> list[int]:
     """Weights W_{n-1} p^j <= m of the length-n power descriptors, j = 1, 2, ..."""
-    S, R = tup.materialize(n - 1)
-    bound = S if family == "power_v" else R
+    bound = _power_bound(family, tup.materialize(n - 1))
     weights = []
     val = tup.pivot_weight(n - 1)
     for _ in range(bound):
@@ -433,14 +456,11 @@ def _count_headed(eng: _TailEngine, n: int, m: int) -> int:
     s_cut = min((m + dmax) // W - 2, smax)
     acc = 0
     if s_full >= 0:
-        acc = _box_prefix(s_full, (P, Q)) * total
+        acc = _head_count(family, P, Q, s_full) * total
     for s in range(max(s_full + 1, 0), s_cut + 1):
-        c = _box_prefix(s, (P, Q)) - _box_prefix(s - 1, (P, Q))
+        c = _head_count(family, P, Q, s) - _head_count(family, P, Q, s - 1)
         if c:
             acc += c * eng.at_least(k, (s + 2) * W - m)
-    if family == "first":
-        # remove the excluded corner cell (the maximal head sum)
-        acc -= eng.at_least(k, (smax + 2) * W - m)
     return acc
 
 
@@ -492,13 +512,11 @@ def family_totals(tup: ParameterTuple, length: int) -> dict[str, int]:
         raise ValueError("length must be >= 0")
     if length == 0:
         return {f: len(_GENERATORS.get(f, "")) for f in FAMILIES}
-    S, R = tup.materialize(length - 1)
     out = {}
     for f in ("first", "second"):
         P, Q = _head_box(tup, f, length)
-        tails = math.prod(c + 1 for i in range(length - 1) for c in _tail_caps(tup, f, i))
-        out[f] = (P * Q - (f == "first")) * tails
-    return {**out, "power_v": S, "power_w": R, "power_u": R}
+        out[f] = _head_count(f, P, Q, P + Q - 2) * _engine(tup, f).total(length - 1)
+    return out | {f: _power_bound(f, tup.materialize(length - 1)) for f in _POWER_KIND}
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -546,20 +564,15 @@ def enumerate_descriptors(
                 for j, val in enumerate(_power_weights(tup, f, n, max_weight), 1):
                     found.append((val, MonomialDescriptor(f, n, (j,))))
                 continue
-            P, Q = _head_box(tup, f, n)
-            for xi in range(P):
-                for et in range(Q):
-                    if f == "first" and xi == P - 1 and et == Q - 1:
-                        continue
-                    hw = (xi + et + 2) * W
-                    req = hw - max_weight
-                    for tail in _tail_vectors(tup, f, n - 1, req):
-                        d = MonomialDescriptor(f, n, (xi, et), tail)
-                        wt = hw - sum(
-                            sum(cell) * tup.pivot_weight(i)
-                            for i, cell in enumerate(tail)
-                        )
-                        found.append((wt, d))
+            for xi, et in _head_cells(tup, f, n):
+                hw = (xi + et + 2) * W
+                req = hw - max_weight
+                for tail in _tail_vectors(tup, f, n - 1, req):
+                    d = MonomialDescriptor(f, n, (xi, et), tail)
+                    wt = hw - sum(
+                        sum(cell) * tup.pivot_weight(i) for i, cell in enumerate(tail)
+                    )
+                    found.append((wt, d))
     found.sort(key=lambda t: (t[0], t[1].sort_key()))
     return iter(d for _, d in found)
 
@@ -604,12 +617,9 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
                     if c:
                         dist[s * Wk : s * Wk + len(prev)] += c * prev
             P, Q = _head_box(tup, fam, n)
-            smax = (P - 1) + (Q - 1)
-            s_hi = min(smax, (M + eng.dmax(k)) // W - 2)
+            s_hi = min(P + Q - 2, (M + eng.dmax(k)) // W - 2)
             for s in range(0, s_hi + 1):
-                c = _box_prefix(s, (P, Q)) - _box_prefix(s - 1, (P, Q))
-                if fam == "first" and s == smax:
-                    c -= 1
+                c = _head_count(fam, P, Q, s) - _head_count(fam, P, Q, s - 1)
                 if not c:
                     continue
                 hw = (s + 2) * W
@@ -691,7 +701,7 @@ class GrowthTable:
     @classmethod
     def from_csv(cls, text: str, p: int = 0, tuple_spec: str = "") -> "GrowthTable":
         rd = csv.reader(io.StringIO(text))
-        header = next(rd)
+        header = next(rd, [])  # an empty file has no header
         if tuple(h.strip() for h in header) != _CSV_COLUMNS:
             raise ValueError("unrecognized growth table header")
         rows = []

@@ -9,7 +9,10 @@ and the weight window inside which a depth-N truncation is faithful.
 
 Tuples are given by a rule: constant, periodic, explicit list, or one of two
 analytic rules ("kappa", "qkappa") whose entries are floors of real-valued
-expressions.  Floors are computed exactly with integer root arithmetic
+expressions.  The finite rules keep their integer pairs in one sequence,
+``ParameterTuple.pattern``, repeating with ``period`` 1 (constant) or the
+pattern length (periodic); other layers read these, not the rule's kind.
+Floors are computed exactly with integer root arithmetic
 whenever the expression is a rational power of an integer; otherwise interval
 arithmetic with escalating precision is used and an ambiguous floor raises
 instead of guessing.  Each interval evaluation runs in a private mpmath
@@ -96,6 +99,16 @@ def _floor_rational_power(base: int, expo: Fraction) -> int:
     return integer_root_floor(base ** num, den)
 
 
+def _entry(x) -> int:
+    """A rule entry as an int; TupleRuleError unless x is an integer."""
+    try:
+        if (value := Fraction(x)).denominator == 1:
+            return value.numerator
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise TupleRuleError(f"tuple rule entries must be integers, got {x!r}")
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Multidegree of a homogeneous element: degrees in the three generators.
@@ -166,7 +179,6 @@ class ParameterTuple:
             raise TupleRuleError(f"unknown tuple rule {kind!r}")
         self.p = p
         self.kind = kind
-        self.params = params
         self._lock = threading.RLock()
         self._pairs: list[tuple[int, int]] = []
         self._powers: list[tuple[int, int]] = []
@@ -174,7 +186,7 @@ class ParameterTuple:
             (WeightVector(1, 0, 0), WeightVector(0, 1, 0), WeightVector(0, 0, 1))
         ]
         self._weights: list[int] = [1]
-        self._validate()
+        self._validate(params)
 
     # -- constructors -----------------------------------------------------
 
@@ -184,59 +196,77 @@ class ParameterTuple:
 
     @classmethod
     def periodic(cls, p: int, pattern) -> "ParameterTuple":
-        return cls(p, "periodic", pattern=tuple((int(s), int(r)) for s, r in pattern))
+        return cls(p, "periodic", pattern=pattern)
 
     @classmethod
     def kappa(cls, p: int, kappa) -> "ParameterTuple":
-        return cls(p, "kappa", kappa=Fraction(kappa))
+        return cls(p, "kappa", kappa=kappa)
 
     @classmethod
     def qkappa(cls, p: int, q: int, kappa) -> "ParameterTuple":
-        return cls(p, "qkappa", q=int(q), kappa=Fraction(kappa))
+        return cls(p, "qkappa", q=q, kappa=kappa)
 
     @classmethod
     def explicit(cls, p: int, pairs) -> "ParameterTuple":
-        return cls(p, "explicit", pairs=tuple((int(s), int(r)) for s, r in pairs))
+        return cls(p, "explicit", pairs=pairs)
 
-    def _validate(self) -> None:
-        k, prm = self.kind, self.params
-        if k == "constant":
-            if not (int(prm["S"]) >= 1 and int(prm["R"]) >= 1):
-                raise TupleRuleError("constant rule needs S >= 1 and R >= 1")
-        elif k in ("periodic", "explicit"):
-            seq = prm["pattern"] if k == "periodic" else prm["pairs"]
-            if len(seq) == 0:
+    def _validate(self, params: dict) -> None:
+        """Set ``params``, ``pattern`` and ``period`` from normalized, checked params."""
+        k = self.kind
+        try:
+            if k == "constant":
+                prm = {"S": _entry(params["S"]), "R": _entry(params["R"])}
+                pattern = (tuple(prm.values()),)
+            elif k in ("periodic", "explicit"):
+                name = "pattern" if k == "periodic" else "pairs"
+                pattern = tuple((_entry(s), _entry(r)) for s, r in params[name])
+                prm = {name: pattern}
+            else:
+                prm = {"q": _entry(params["q"])} if k == "qkappa" else {}
+                prm["kappa"] = Fraction(params["kappa"])
+                pattern = None
+        except KeyError as exc:
+            raise TupleRuleError(f"{k} rule needs parameter {exc}") from None
+        self.params, self._pattern = prm, pattern
+        self._period = 1 if k == "constant" else len(pattern) if k == "periodic" else None
+        if pattern is not None:
+            if not pattern:
                 raise TupleRuleError(f"{k} rule needs at least one (S, R) pair")
-            if any(s < 1 or r < 1 for s, r in seq):
-                raise TupleRuleError(f"{k} rule entries must be >= 1")
-        elif k == "kappa":
-            kap = prm["kappa"]
-            if not (0 < kap < 1):
-                raise TupleRuleError("kappa rule needs 0 < kappa < 1")
-        elif k == "qkappa":
-            if prm["q"] < 1:
-                raise TupleRuleError("qkappa rule needs q >= 1")
-            if prm["kappa"] <= 0:
-                raise TupleRuleError("qkappa rule needs kappa > 0")
+            if any(s < 1 or r < 1 for s, r in pattern):
+                raise TupleRuleError(
+                    "constant rule needs S >= 1 and R >= 1"
+                    if k == "constant"
+                    else f"{k} rule entries must be >= 1"
+                )
+        elif k == "kappa" and not (0 < prm["kappa"] < 1):
+            raise TupleRuleError("kappa rule needs 0 < kappa < 1")
+        elif k == "qkappa" and prm["q"] < 1:
+            raise TupleRuleError("qkappa rule needs q >= 1")
+        elif k == "qkappa" and prm["kappa"] <= 0:
+            raise TupleRuleError("qkappa rule needs kappa > 0")
+
+    @property
+    def pattern(self) -> tuple[tuple[int, int], ...] | None:
+        """(S, R) pairs of a constant (one pair), periodic or explicit rule, else None."""
+        return self._pattern
+
+    @property
+    def period(self) -> int | None:
+        """1 for a constant rule, the pattern length for a periodic one, else None."""
+        return self._period
 
     # -- rule evaluation ---------------------------------------------------
 
     def _rule_pair(self, n: int) -> tuple[int, int]:
-        k, prm = self.kind, self.params
-        if k == "constant":
-            return (int(prm["S"]), int(prm["R"]))
-        if k == "periodic":
-            pattern = prm["pattern"]
-            return pattern[n % len(pattern)]
-        if k == "explicit":
-            pairs = prm["pairs"]
-            if n >= len(pairs):
+        pattern = self._pattern
+        if pattern is not None:
+            if self._period is None and n >= len(pattern):
                 raise TupleRuleError(
-                    f"explicit tuple has only {len(pairs)} entries, index {n} requested"
+                    f"explicit tuple has only {len(pattern)} entries, index {n} requested"
                 )
-            return pairs[n]
-        if k == "kappa":
-            expo = 1 / prm["kappa"] - 1
+            return pattern[n % len(pattern)]
+        if self.kind == "kappa":
+            expo = 1 / self.params["kappa"] - 1
             return (max(1, _floor_rational_power(n + 1, expo)), 1)
         # qkappa: S_0 = 1 and S_n = floor(exp^(q)(lam*(n+2))) + 1 - sum of
         # earlier entries, where exp(lam*t) = p**(2*t/kappa).
@@ -368,9 +398,7 @@ class ParameterTuple:
     # -- equality / rendering / serialization -------------------------------
 
     def _key(self):
-        prm = self.params
-        frozen = tuple(sorted(prm.items()))
-        return (self.p, self.kind, frozen)
+        return (self.p, self.kind, tuple(self.params.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParameterTuple) and self._key() == other._key()
@@ -384,16 +412,9 @@ class ParameterTuple:
     @property
     def spec(self) -> str:
         """The rule in the CLI grammar, e.g. ``constant:1,1`` or ``kappa:1/2``."""
-        k, prm = self.kind, self.params
-        if k == "constant":
-            return f"constant:{prm['S']},{prm['R']}"
-        if k == "periodic":
-            return "periodic:" + ";".join(f"{s},{r}" for s, r in prm["pattern"])
-        if k == "explicit":
-            return "explicit:" + ";".join(f"{s},{r}" for s, r in prm["pairs"])
-        if k == "kappa":
-            return f"kappa:{prm['kappa']}"
-        return f"qkappa:{prm['q']},{prm['kappa']}"
+        if self._pattern is None:
+            return f"{self.kind}:" + ",".join(map(str, self.params.values()))
+        return f"{self.kind}:" + ";".join(f"{s},{r}" for s, r in self._pattern)
 
     @classmethod
     def from_spec(cls, p: int, text: str) -> "ParameterTuple":
@@ -424,34 +445,21 @@ class ParameterTuple:
         raise TupleRuleError(f"unknown tuple rule {kind!r} in spec {text!r}")
 
     def to_json(self) -> dict:
-        prm = self.params
         out: dict = {"p": self.p, "kind": self.kind, "length": self.materialized_length}
-        if self.kind == "constant":
-            out["params"] = {"S": prm["S"], "R": prm["R"]}
-        elif self.kind == "periodic":
-            out["params"] = {"pattern": [list(pr) for pr in prm["pattern"]]}
-        elif self.kind == "explicit":
-            out["params"] = {"pairs": [list(pr) for pr in prm["pairs"]]}
-        elif self.kind == "kappa":
-            out["params"] = {"kappa": str(prm["kappa"])}
-        else:
-            out["params"] = {"q": prm["q"], "kappa": str(prm["kappa"])}
+        out["params"] = {
+            name: str(v) if isinstance(v, Fraction)
+            else [list(pr) for pr in v] if isinstance(v, tuple)
+            else v
+            for name, v in self.params.items()
+        }
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterTuple":
-        p, kind, prm = int(obj["p"]), obj["kind"], obj.get("params", {})
-        if kind == "constant":
-            return cls.constant(p, int(prm["S"]), int(prm["R"]))
-        if kind == "periodic":
-            return cls.periodic(p, prm["pattern"])
-        if kind == "explicit":
-            return cls.explicit(p, prm["pairs"])
-        if kind == "kappa":
-            return cls.kappa(p, Fraction(prm["kappa"]))
-        if kind == "qkappa":
-            return cls.qkappa(p, int(prm["q"]), Fraction(prm["kappa"]))
-        raise TupleRuleError(f"unknown tuple rule {kind!r} in JSON form")
+        p, kind = int(obj["p"]), obj["kind"]
+        if kind not in _KINDS:
+            raise TupleRuleError(f"unknown tuple rule {kind!r} in JSON form")
+        return cls(p, kind, **obj.get("params", {}))
 
 
 # Module-level operation aliases matching the library's functional surface.

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -223,6 +224,36 @@ def test_quasilinear_bounds_tower_rule_checkpoints():
     weights = [2, 3, w1, w1 + 1, w2 - 1, w2, w2 + 1]
     t = growth_table(tup, max(weights), weights=weights)
     assert check_quasilinear_bounds(tup, t).passed
+
+
+@pytest.mark.parametrize("spec", ["kappa:1/2", "qkappa:1,1"])
+def test_quasilinear_lower_matches_theta_enclosure(spec):
+    # the suite compares against theta's partial product as an unreduced
+    # num/den; theta_bounds' reduced lower end is the reference
+    tup = ParameterTuple.from_spec(2, spec)
+    weights = [2, 3, 10, 100, 1000, 10**6, 10**40]
+    t = growth_table(tup, weights[-1], weights=weights)
+    rep = check_quasilinear_bounds(tup, t)
+    lower = [r for r in rep.records if r.check_id == "quasilinear-lower"]
+    n_last = dict(lower[-1].params)["n"]
+    theta_lo, _ = theta_bounds(tup, target_index=n_last + 2)
+    rows = {row[0]: row for row in t.rows}
+    for r in lower:
+        m, n = dict(r.params)["m"], dict(r.params)["n"]
+        m0 = tup.pivot_weight(n - 1)
+        target = (m // m0 - tup.p + 1) * m0 * tup.p ** (2 * (n - 1))
+        ok = target <= 0 or Fraction(rows[m][2]) * theta_lo >= target
+        assert r.status == ("pass" if ok else "fail")
+
+
+def test_quasilinear_tower_rule_p3_is_quick():
+    # theta's partial product holds powers of millions of bits here; reducing
+    # it as a Fraction took about 25 s, comparing it unreduced takes ~2 s
+    tup = ParameterTuple.qkappa(3, 1, 1)
+    t = growth_table(tup, 10**8, weights=[2, 3, 10, 1000, 10**8])
+    start = time.monotonic()
+    assert check_quasilinear_bounds(tup, t).passed
+    assert time.monotonic() - start < 15
 
 
 def test_quasilinear_requires_unit_second_entry():

@@ -454,6 +454,14 @@ def test_fit_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_fit_empty_file(capsys, tmp_path):
+    # an empty file has no header; it is refused like a foreign one
+    target = tmp_path / "empty.csv"
+    target.write_text("")
+    code, out, err = run(capsys, "fit", "--in", str(target), "--level", "gk")
+    assert (code, out, err) == (2, "", "error: unrecognized growth table header\n")
+
+
 # ---------------------------------------------------------------------------
 # config errors
 

@@ -5,8 +5,12 @@ never lets an exception escape ``main`` and finishes quickly.
 Inputs stay small (depth <= 3, at most 5 samples, scan grids up to 16 x 16,
 dense tables up to 1,000 rows) but cover invalid primes, degenerate and
 oversized tuple entries and checkpoint-sized huge weights.  Each argument
-is drawn valid three times out of four, so that many invocations get past
-the input checks and do real work.
+has a pool of valid and a pool of invalid values.  Half of the invocations
+take every argument from its valid pool, so they get past the input checks
+and do real work; the other half take exactly one argument from its invalid
+pool, so each refusal is reached on its own.  Valid arguments may still
+combine into an input that is out of range (a closure above the closure
+limit, a tower entry too large to materialize); those exit 2 as well.
 """
 
 import contextlib
@@ -17,110 +21,170 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cloverlie import ParameterTuple, growth_table
 from cloverlie.cli import main
 
 # Seconds one invocation may take; the slowest inputs these strategies can
-# draw (basis --check at depth 3) need about 3 s.
+# draw (nil and basis --check at p = 3, depth 3) need about 9 s.
 TIME_BOUND = 30
 
 PRIMES = (2, 3, 5)
-
-
-def _mostly(valid, invalid):
-    """Draws from ``valid`` three times as often as from ``invalid``."""
-    return st.tuples(st.integers(0, 3), valid, invalid).map(
-        lambda t: t[2] if t[0] == 0 else t[1]
-    )
-
-
 NON_PRIMES = st.sampled_from((0, 1, -3, 4, 9))
-P = _mostly(st.sampled_from(PRIMES), NON_PRIMES)
-SMALL_P = _mostly(st.sampled_from((2, 3)), NON_PRIMES)
+P = (st.sampled_from(PRIMES), NON_PRIMES)
+SMALL_P = (st.sampled_from((2, 3)), NON_PRIMES)
+
+
+def _joined(entry, min_size, max_size):
+    pairs = st.lists(st.tuples(entry, entry), min_size=min_size, max_size=max_size)
+    return pairs.map(lambda ps: ";".join(f"{s},{r}" for s, r in ps))
 
 
 def _rules(entry, fixed):
-    pairs = st.lists(st.tuples(entry, entry), min_size=1, max_size=3)
-    joined = pairs.map(lambda ps: ";".join(f"{s},{r}" for s, r in ps))
     return st.one_of(
         st.builds("constant:{},{}".format, entry, entry),
-        joined.map("periodic:{}".format),
-        joined.map("explicit:{}".format),
+        _joined(entry, 1, 3).map("periodic:{}".format),
+        _joined(entry, 1, 3).map("explicit:{}".format),
         st.sampled_from(fixed),
     )
 
 
-SPEC = _mostly(
-    _rules(
-        st.integers(1, 2),
-        ("kappa:1/2", "kappa:2/3", "qkappa:1,1", "qkappa:2,1", "qkappa:3,1/2"),
-    ),
-    _rules(
-        st.integers(-1, 2),
-        (
-            "kappa:0",
-            "kappa:3/2",
-            "kappa:1/0",
-            "qkappa:0,1",
-            "constant:1000000000000,1",
-            "periodic:2,1;1000000000000,1",
-            "explicit:1,1;100000000000,1",
-            "constant:1",
-            "bogus:1,1",
-            "",
-        ),
+ENTRY = st.integers(1, 2)
+REPEATING = st.one_of(
+    st.builds("constant:{},{}".format, ENTRY, ENTRY),
+    _joined(ENTRY, 1, 3).map("periodic:{}".format),
+)
+# twelve entries outlast every weight and depth drawn here
+EXPLICIT = _joined(ENTRY, 12, 12).map("explicit:{}".format)
+POWER_LAW = st.sampled_from(("kappa:1/2", "kappa:2/3"))
+ANALYTIC = st.one_of(POWER_LAW, st.just("qkappa:1,1"))
+INVALID_RULE = _rules(
+    st.integers(-1, 0),
+    (
+        "kappa:0",
+        "kappa:3/2",
+        "kappa:1/0",
+        "qkappa:0,1",
+        "constant:1000000000000,1",
+        "periodic:2,1;1000000000000,1",
+        "explicit:1,1;100000000000,1",
+        "constant:1",
+        "bogus:1,1",
+        "",
+        # valid rules whose second entry is too large to materialize
+        "qkappa:2,1",
+        "qkappa:3,1/2",
     ),
 )
-DEPTH = _mostly(st.integers(1, 3), st.integers(-1, 0))
-WEIGHT = _mostly(st.integers(1, 1000), st.integers(-1, 0))
+RULE = (st.one_of(REPEATING, EXPLICIT, ANALYTIC), INVALID_RULE)
+# a qkappa closure at depth 3 is far above the closure limit
+CLOSURE_RULE = (st.one_of(REPEATING, EXPLICIT, POWER_LAW), INVALID_RULE)
+DEPTH = (st.integers(2, 3), st.integers(-1, 1))
+WEIGHT = (st.integers(1, 1000), st.integers(-1, 0))
 HUGE_WEIGHT = st.integers(6, 60).map(lambda k: 10**k)
 
 
-def _argv(command, p, *rest):
-    return [command, "--p", str(p), *map(str, rest)]
+@st.composite
+def _argv(draw, command, *args):
+    """``command`` followed by one part per (valid, invalid) pair of argument
+    strategies (invalid None: the argument has no invalid value): all parts
+    valid, or exactly one drawn invalid."""
+    can_fail = [i for i, (_, invalid) in enumerate(args) if invalid is not None]
+    bad = draw(st.sampled_from(can_fail)) if draw(st.booleans()) else None
+    parts = [draw(invalid if i == bad else valid) for i, (valid, invalid) in enumerate(args)]
+    return [command, *(str(tok) for part in parts for tok in part)]
 
+
+def _flag(name, pair):
+    return tuple(None if s is None else s.map(lambda v: [name, v]) for s in pair)
+
+
+def _bounds_run(rule, suite, weight):
+    return ["--tuple", rule, "--max-weight", weight, *([] if suite is None else ["--suite", suite])]
+
+
+# The rule, suite and weight of ``bounds`` must agree: the period suite takes
+# constant and periodic rules and a dense table, the quasilinear suite power
+# and tower rules and any weight.  An invalid run changes one of the three.
+BOUNDS_RUN = (
+    st.one_of(
+        st.tuples(REPEATING, st.sampled_from((None, "period")), WEIGHT[0]),
+        st.tuples(ANALYTIC, st.sampled_from((None, "quasilinear")),
+                  st.one_of(WEIGHT[0], HUGE_WEIGHT)),
+    ).map(lambda t: _bounds_run(*t)),
+    st.one_of(
+        st.tuples(st.one_of(INVALID_RULE, EXPLICIT),
+                  st.sampled_from((None, "period", "quasilinear")), WEIGHT[0]),
+        st.tuples(REPEATING, st.just("quasilinear"), WEIGHT[0]),
+        st.tuples(ANALYTIC, st.just("period"), WEIGHT[0]),
+        st.tuples(REPEATING, st.sampled_from((None, "period")),
+                  st.one_of(WEIGHT[1], HUGE_WEIGHT)),
+        st.tuples(ANALYTIC, st.sampled_from((None, "quasilinear")), WEIGHT[1]),
+    ).map(lambda t: _bounds_run(*t)),
+)
 
 COMMANDS = {
-    "growth": st.builds(
-        lambda p, spec, w, fmt: _argv(
-            "growth", p, "--tuple", spec, "--max-weight", w, "--format", fmt
-        ),
-        P, SPEC, WEIGHT, st.sampled_from(("csv", "json")),
+    "growth": _argv(
+        "growth", _flag("--p", P), _flag("--tuple", RULE), _flag("--max-weight", WEIGHT),
+        _flag("--format", (st.sampled_from(("csv", "json")), st.just("xml"))),
     ),
-    "basis": st.builds(
-        lambda p, spec, depth, check: _argv(
-            "basis", p, "--tuple", spec, "--depth", depth, *(["--check"] if check else [])
+    "basis": _argv(
+        "basis", _flag("--p", SMALL_P), _flag("--tuple", CLOSURE_RULE),
+        # the suites of --check need depth 3
+        (
+            st.one_of(DEPTH[0].map(lambda d: ["--depth", d]), st.just(["--depth", 3, "--check"])),
+            st.one_of(
+                st.tuples(DEPTH[1], st.sampled_from(([], ["--check"]))).map(
+                    lambda t: ["--depth", t[0], *t[1]]
+                ),
+                st.just(["--depth", 2, "--check"]),
+            ),
         ),
-        SMALL_P, SPEC, DEPTH, st.booleans(),
     ),
     "gk": st.one_of(
-        st.builds(lambda p, S, R: _argv("gk", p, "--S", S, "--R", R),
-                  P, st.integers(-1, 3), st.integers(-1, 3)),
-        st.builds(lambda p, spec: _argv("gk", p, "--tuple", spec), P, SPEC),
+        _argv("gk", _flag("--p", P), _flag("--S", (st.integers(1, 3), st.integers(-1, 0))),
+              _flag("--R", (st.integers(1, 3), st.integers(-1, 0)))),
+        _argv("gk", _flag("--p", P),
+              _flag("--tuple", (REPEATING, st.one_of(INVALID_RULE, EXPLICIT, ANALYTIC)))),
     ),
-    "nil": st.builds(
-        lambda p, spec, depth, n, seed: _argv(
-            "nil", p, "--tuple", spec, "--depth", depth, "--samples", n, "--seed", seed
-        ),
-        SMALL_P, SPEC, DEPTH, _mostly(st.integers(1, 5), st.integers(-1, 0)),
-        st.integers(0, 9),
+    "nil": _argv(
+        "nil", _flag("--p", SMALL_P), _flag("--tuple", CLOSURE_RULE), _flag("--depth", DEPTH),
+        _flag("--samples", (st.integers(1, 5), st.integers(-1, 0))),
+        _flag("--seed", (st.integers(0, 9), None)),
     ),
-    "bounds": st.builds(
-        lambda p, spec, w, suite: _argv(
-            "bounds", p, "--tuple", spec, "--max-weight", w,
-            *([] if suite is None else ["--suite", suite]),
-        ),
-        P, SPEC, st.one_of(WEIGHT, HUGE_WEIGHT),
-        st.sampled_from((None, "period", "quasilinear")),
-    ),
-    "fit": st.builds(
-        lambda level: ["fit", "--in", "no-such-table.csv", "--level", level],
-        st.sampled_from(("gk", "0", "-1", "x")),
-    ),
+    "bounds": _argv("bounds", _flag("--p", P), BOUNDS_RUN),
 }
-SCAN = st.builds(
-    lambda p, m: _argv("gk", p, "--scan", "--max", m),
-    P, _mostly(st.integers(1, 16), st.integers(-1, 0)),
+SCAN = _argv(
+    "gk", _flag("--p", P), (st.just(["--scan"]), None),
+    _flag("--max", (st.integers(1, 16), st.integers(-1, 0))),
 )
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """Saved growth tables for ``fit``: one valid, and one of each broken kind."""
+    root = tmp_path_factory.mktemp("tables")
+    valid = growth_table(ParameterTuple.constant(2, 1, 1), 300).to_csv()
+    header, _, rows = valid.partition("\r\n")
+    texts = {
+        "valid": valid,
+        "empty": "",
+        "header-only": header + "\r\n",
+        "malformed-row": header + "\r\n" + rows.replace("\r\n", "\r\n1,x,1,1,1,1,\r\n", 1),
+    }
+    for name, text in texts.items():
+        (root / f"{name}.csv").write_text(text, newline="")
+    return root
+
+
+def _fit(root):
+    broken = ("empty", "header-only", "malformed-row")
+    path = (
+        st.just(str(root / "valid.csv")),
+        st.one_of(st.just("no-such-table.csv"),
+                  st.sampled_from(broken).map(lambda n: str(root / f"{n}.csv"))),
+    )
+    level = (st.sampled_from(("gk", "0", "1", "2")), st.sampled_from(("-1", "x")))
+    return _argv("fit", _flag("--in", path), _flag("--level", level))
 
 
 def check_contract(argv):
@@ -144,11 +208,12 @@ FUZZ = settings(
 )
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", sorted([*COMMANDS, "fit"]))
 @FUZZ
 @given(data=st.data())
-def test_cli_keeps_exit_code_contract(command, data):
-    check_contract(data.draw(COMMANDS[command], label="argv"))
+def test_cli_keeps_exit_code_contract(command, tables, data):
+    strategy = _fit(tables) if command == "fit" else COMMANDS[command]
+    check_contract(data.draw(strategy, label="argv"))
 
 
 @FUZZ

@@ -127,6 +127,86 @@ def test_json_round_trip():
         assert ParameterTuple.from_json(tup.to_json()) == tup
 
 
+def test_rule_entries_normalized():
+    # an integral entry given as text or float is the same rule: one spec,
+    # equal and with one hash, so caches keyed by the tuple hold it once
+    a, b = ParameterTuple.constant(2, "1", 1), ParameterTuple.constant(2, 1, 1)
+    assert a == b and hash(a) == hash(b) and a.spec == b.spec == "constant:1,1"
+    assert ParameterTuple.periodic(3, [("2", 1.0)]) == ParameterTuple.periodic(3, [(2, 1)])
+    assert ParameterTuple.qkappa(2, "1", "1") == ParameterTuple.qkappa(2, 1, 1)
+    assert ParameterTuple.from_json(a.to_json()) == b
+    # the same pairs under another rule differ in spec, so in identity too
+    const, per = ParameterTuple.constant(2, 1, 1), ParameterTuple.periodic(2, [(1, 1)])
+    assert const != per and const.spec != per.spec
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ParameterTuple.constant(2, 1.5, 1),
+        lambda: ParameterTuple.constant(2, 1, "x"),
+        lambda: ParameterTuple.periodic(2, [(1, 1), (1.5, 1)]),
+        lambda: ParameterTuple.explicit(2, [(1, "1.5")]),
+        lambda: ParameterTuple.qkappa(2, 1.5, "1"),
+        lambda: ParameterTuple.from_json({"p": 2, "kind": "constant", "params": {"S": 2.5, "R": 1}}),
+    ],
+)
+def test_non_integral_entries_refused(build):
+    with pytest.raises(TupleRuleError, match="must be integers"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": 2, "kind": "kappa", "params": {}},
+        {"p": 2, "kind": "qkappa", "params": {"kappa": "1"}},
+        {"p": 2, "kind": "constant", "params": {"S": 1}},
+        {"p": 2, "kind": "periodic"},
+    ],
+)
+def test_missing_params_refused(obj):
+    with pytest.raises(TupleRuleError, match="needs parameter"):
+        ParameterTuple.from_json(obj)
+
+
+def test_pattern_and_period():
+    cases = [
+        (ParameterTuple.constant(2, 2, 1), ((2, 1),), 1),
+        (ParameterTuple.periodic(2, [[1, 1], [5, 1]]), ((1, 1), (5, 1)), 2),
+        (ParameterTuple.explicit(3, [(2, 1), (1, 3)]), ((2, 1), (1, 3)), None),
+        (ParameterTuple.kappa(2, "1/2"), None, None),
+        (ParameterTuple.qkappa(2, 1, 1), None, None),
+    ]
+    for tup, pattern, period in cases:
+        assert (tup.pattern, tup.period) == (pattern, period)
+        with pytest.raises(AttributeError):
+            tup.period = 3
+
+
+def test_rule_facts_read_from_the_tuple():
+    # outside params.py no code asks which finite rule a tuple follows or
+    # digs its pairs out of ``params``; it reads ``pattern`` and ``period``
+    finite, pair_keys = {"constant", "periodic", "explicit"}, {"pattern", "pairs", "S", "R"}
+    found = []
+    for path in sorted(pathlib.Path(cloverlie.__file__).parent.glob("*.py")):
+        if path.name == "params.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "kind"
+                for side in (node.left, *node.comparators)
+            ):
+                consts = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
+                if consts & finite:
+                    found.append((path.name, node.lineno))
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "params" and isinstance(node.slice, ast.Constant)
+                    and node.slice.value in pair_keys):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # pivot weights: w(n+1) = (p^S_n + p^R_n - 1) w(n), w(0) = 1
 

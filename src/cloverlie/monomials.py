@@ -359,7 +359,7 @@ class _TailEngine:
                 else:
                     P, Q = _head_box(tup, family, n)
                     top = (P + Q) * W
-                    full = _head_count(family, P, Q, P + Q - 2) * self.total(n - 1)
+                    full = (P * Q - len(_excluded_heads(family, P, Q))) * self.total(n - 1)
                 least.append(lw)
                 sat.append(max(sat[-1], top))
                 prefix.append(prefix[-1] + full)
@@ -515,7 +515,7 @@ def family_totals(tup: ParameterTuple, length: int) -> dict[str, int]:
     out = {}
     for f in ("first", "second"):
         P, Q = _head_box(tup, f, length)
-        out[f] = _head_count(f, P, Q, P + Q - 2) * _engine(tup, f).total(length - 1)
+        out[f] = (P * Q - len(_excluded_heads(f, P, Q))) * _engine(tup, f).total(length - 1)
     return out | {f: _power_bound(f, tup.materialize(length - 1)) for f in _POWER_KIND}
 
 

@@ -172,7 +172,7 @@ class ParameterTuple:
     materialized pairs, so they are safe to share across threads.
     """
 
-    def __init__(self, p: int, kind: str, **params):
+    def __init__(self, p: int, kind: str, /, **params):
         if not _is_prime(p):
             raise TupleRuleError(f"p must be prime, got {p}")
         if kind not in _KINDS:

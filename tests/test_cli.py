@@ -474,6 +474,23 @@ def test_bad_tuple_spec(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--max-weight", "1000"],
+        ["basis", "--depth", "3"],
+        ["nil", "--depth", "3", "--samples", "1", "--seed", "0"],
+        ["bounds", "--max-weight", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_short_explicit_rule_is_config_error(capsys, argv):
+    # the rule itself is valid; the run needs an entry past its end
+    code, out, err = run(capsys, *argv[:1], "--p", "2", "--tuple", "explicit:1,1", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: explicit tuple has only 1 entries, index 1 requested\n"
+
+
 def test_nonprime_p(capsys):
     code, _, err = run(
         capsys, "growth", "--p", "4", "--tuple", "constant:1,1", "--max-weight", "5"

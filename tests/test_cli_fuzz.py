@@ -8,9 +8,13 @@ oversized tuple entries and checkpoint-sized huge weights.  Each argument
 has a pool of valid and a pool of invalid values.  Half of the invocations
 take every argument from its valid pool, so they get past the input checks
 and do real work; the other half take exactly one argument from its invalid
-pool, so each refusal is reached on its own.  Valid arguments may still
-combine into an input that is out of range (a closure above the closure
-limit, a tower entry too large to materialize); those exit 2 as well.
+pool, so each refusal is reached on its own.  The invalid rule pools also
+hold rules that parse but are refused during the run (an explicit rule
+with too few entries, a tower closure above the closure limit), and, as
+their entries run from -1 to 2, some valid rules.  Valid arguments may
+still combine into an input that is out of range (a closure above the
+closure limit, a tower entry too large to materialize); those exit 2 as
+well.
 """
 
 import contextlib
@@ -55,10 +59,12 @@ REPEATING = st.one_of(
 )
 # twelve entries outlast every weight and depth drawn here
 EXPLICIT = _joined(ENTRY, 12, 12).map("explicit:{}".format)
+# valid rules that run out of entries during the computation
+SHORT_EXPLICIT = _joined(ENTRY, 1, 3).map("explicit:{}".format)
 POWER_LAW = st.sampled_from(("kappa:1/2", "kappa:2/3"))
 ANALYTIC = st.one_of(POWER_LAW, st.just("qkappa:1,1"))
 INVALID_RULE = _rules(
-    st.integers(-1, 0),
+    st.integers(-1, 2),
     (
         "kappa:0",
         "kappa:3/2",
@@ -75,9 +81,12 @@ INVALID_RULE = _rules(
         "qkappa:3,1/2",
     ),
 )
-RULE = (st.one_of(REPEATING, EXPLICIT, ANALYTIC), INVALID_RULE)
+RULE = (st.one_of(REPEATING, EXPLICIT, ANALYTIC), st.one_of(INVALID_RULE, SHORT_EXPLICIT))
 # a qkappa closure at depth 3 is far above the closure limit
-CLOSURE_RULE = (st.one_of(REPEATING, EXPLICIT, POWER_LAW), INVALID_RULE)
+CLOSURE_RULE = (
+    st.one_of(REPEATING, EXPLICIT, POWER_LAW),
+    st.one_of(INVALID_RULE, SHORT_EXPLICIT, st.just("qkappa:1,1")),
+)
 DEPTH = (st.integers(2, 3), st.integers(-1, 1))
 WEIGHT = (st.integers(1, 1000), st.integers(-1, 0))
 HUGE_WEIGHT = st.integers(6, 60).map(lambda k: 10**k)
@@ -112,7 +121,7 @@ BOUNDS_RUN = (
                   st.one_of(WEIGHT[0], HUGE_WEIGHT)),
     ).map(lambda t: _bounds_run(*t)),
     st.one_of(
-        st.tuples(st.one_of(INVALID_RULE, EXPLICIT),
+        st.tuples(st.one_of(INVALID_RULE, SHORT_EXPLICIT, EXPLICIT),
                   st.sampled_from((None, "period", "quasilinear")), WEIGHT[0]),
         st.tuples(REPEATING, st.just("quasilinear"), WEIGHT[0]),
         st.tuples(ANALYTIC, st.just("period"), WEIGHT[0]),
@@ -144,7 +153,8 @@ COMMANDS = {
         _argv("gk", _flag("--p", P), _flag("--S", (st.integers(1, 3), st.integers(-1, 0))),
               _flag("--R", (st.integers(1, 3), st.integers(-1, 0)))),
         _argv("gk", _flag("--p", P),
-              _flag("--tuple", (REPEATING, st.one_of(INVALID_RULE, EXPLICIT, ANALYTIC)))),
+              _flag("--tuple", (REPEATING, st.one_of(INVALID_RULE, SHORT_EXPLICIT, EXPLICIT,
+                                                   ANALYTIC)))),
     ),
     "nil": _argv(
         "nil", _flag("--p", SMALL_P), _flag("--tuple", CLOSURE_RULE), _flag("--depth", DEPTH),

@@ -170,6 +170,13 @@ def test_missing_params_refused(obj):
         ParameterTuple.from_json(obj)
 
 
+def test_json_params_named_like_the_rule_fields_ignored():
+    # a ``p`` or ``kind`` key inside ``params`` is not a rule parameter; it
+    # neither collides with the tuple's own prime and rule nor overrides them
+    obj = {"p": 2, "kind": "constant", "params": {"S": 1, "R": 1, "p": 3, "kind": "kappa"}}
+    assert ParameterTuple.from_json(obj) == ParameterTuple.constant(2, 1, 1)
+
+
 def test_pattern_and_period():
     cases = [
         (ParameterTuple.constant(2, 2, 1), ((2, 1),), 1),

@@ -15,10 +15,11 @@ check fails, and reports are deterministic (byte-identical across runs).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .params import ParameterTuple
@@ -36,7 +37,9 @@ from .derivations import (
 from .monomials import (
     MonomialDescriptor,
     _COLUMN,
+    _POWER_KIND,
     _head_cells,
+    _power_bound,
     _tail_caps,
     count_descriptors,
     enumerate_descriptors,
@@ -84,15 +87,42 @@ class CheckRecord(NamedTuple):
         )
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    records: list[CheckRecord] = field(default_factory=list)
+    """The check outcomes of one suite, in the order they were recorded.
+
+    A pass without a witness costs a counter bump and its parameter values
+    appended to a flat column, one column per check id and parameter names
+    in call order.  Every other record is kept whole.  ``records`` rebuilds
+    the CheckRecord list on demand; the counts, failures and summary read
+    only the pass count and the non-pass records.
+    """
+
+    __slots__ = ("suite", "_passes", "_columns", "_entries", "_others")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self._passes = 0
+        # (check_id, *param names) -> (that key, the values of its passes, flat)
+        self._columns: dict[tuple, tuple[tuple, list]] = {}
+        # one per record: its column key, or the whole CheckRecord
+        self._entries: list = []
+        self._others: list[CheckRecord] = []  # the non-pass records
 
     def add(self, check_id: str, status: str, witness: str | None = None, **params):
-        self.records.append(
-            CheckRecord(self.suite, check_id, tuple(sorted(params.items())), status, witness)
-        )
+        if status == "pass":
+            self._passes += 1
+            if witness is None:
+                key = (check_id, *params)
+                column = self._columns.get(key)
+                if column is None:
+                    column = self._columns[key] = (key, [])
+                self._entries.append(column[0])
+                column[1].extend(params.values())
+                return
+        rec = CheckRecord(self.suite, check_id, tuple(sorted(params.items())), status, witness)
+        self._entries.append(rec)
+        if status != "pass":
+            self._others.append(rec)
 
     def check(self, check_id: str, ok: bool, witness: Callable[[], str] = str, **params):
         """Record a pass, or a fail with the string that ``witness()`` renders.
@@ -103,18 +133,50 @@ class VerificationReport:
         """
         self.add(check_id, "pass" if ok else "fail", None if ok else witness(), **params)
 
+    def merge(self, other: VerificationReport, prefix: str = ""):
+        """Append the records of another report under this suite, each check
+        id prefixed."""
+        self._passes += other._passes
+        renamed = {}
+        for key, (_, values) in other._columns.items():
+            new = (prefix + key[0], *key[1:])
+            column = self._columns.get(new)
+            if column is None:
+                column = self._columns[new] = (new, [])
+            column[1].extend(values)
+            renamed[key] = column[0]
+        for entry in other._entries:
+            if type(entry) is CheckRecord:
+                entry = entry._replace(suite=self.suite, check_id=prefix + entry.check_id)
+                if entry.status != "pass":
+                    self._others.append(entry)
+            else:
+                entry = renamed[entry]
+            self._entries.append(entry)
+
+    @property
+    def records(self) -> list[CheckRecord]:
+        """A new list of every record, params sorted by name."""
+        params = {key: _column_params(key[1:], values) for key, values in self._columns.values()}
+        suite = self.suite
+        return [
+            entry if type(entry) is CheckRecord
+            else CheckRecord(suite, entry[0], next(params[entry]), "pass")
+            for entry in self._entries
+        ]
+
     @property
     def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.records)
+        return all(r.status != "fail" for r in self._others)
 
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "outside-trusted-zone": 0}
-        for r in self.records:
+        out = {"pass": self._passes, "fail": 0, "outside-trusted-zone": 0}
+        for r in self._others:
             out[r.status] = out.get(r.status, 0) + 1
         return out
 
     def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if r.status == "fail"]
+        return [r for r in self._others if r.status == "fail"]
 
     def to_json_lines(self) -> str:
         return "\n".join(r.to_json() for r in self.records)
@@ -125,13 +187,21 @@ class VerificationReport:
             f"suite {self.suite}: {c['pass']} pass, {c['fail']} fail, "
             f"{c['outside-trusted-zone']} outside trusted zone"
         ]
-        for r in self.records:
-            if r.status != "pass":
-                ps = " ".join(f"{k}={v}" for k, v in r.params)
-                lines.append(f"  {r.status.upper()}: {r.check_id} {ps}")
-                if r.witness:
-                    lines.append(f"    witness: {r.witness}")
+        for r in self._others:
+            ps = " ".join(f"{k}={v}" for k, v in r.params)
+            lines.append(f"  {r.status.upper()}: {r.check_id} {ps}")
+            if r.witness:
+                lines.append(f"    witness: {r.witness}")
         return "\n".join(lines)
+
+
+def _column_params(names: tuple[str, ...], values: list):
+    """The sorted params tuples of a column's records, one per record."""
+    if not names:
+        return itertools.repeat(())
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rows = zip(*[iter(values)] * len(names))
+    return (tuple((names[i], row[i]) for i in order) for row in rows)
 
 
 # -- echelonized graded basis ------------------------------------------------------
@@ -359,8 +429,9 @@ def relation_suite(
     rep = VerificationReport(suite="relations")
     N = depth
     for i in range(base_index, N):
-        S, R = tup.materialize(i)
-        for kind, top in (("v", S), ("w", R), ("u", R)):
+        pair = tup.materialize(i)
+        for family, kind in _POWER_KIND.items():
+            top = _power_bound(family, pair)
             P0 = pivot(ctx, kind, i)
             cur = P0
             for m in range(0, top + 1):
@@ -377,14 +448,15 @@ def relation_suite(
                     break
                 cur = p_power(cur)
     for i in range(base_index, N - 1):
-        S, R = tup.materialize(i)
+        pair = tup.materialize(i)
         PS, PR = tup.powers(i)
-        v_i, w_i, u_i = (pivot(ctx, k, i) for k in "vwu")
+        v_i, w_i, u_i = pivots = [pivot(ctx, k, i) for k in "vwu"]
         v_n, w_n, u_n = (pivot(ctx, k, i + 1) for k in "vwu")
-        vS = p_power_iter(v_i, S)
-        wR = p_power_iter(w_i, R)
-        uR = p_power_iter(u_i, R)
-        for kind, top, lhs in (("v", S, vS), ("w", R, wR), ("u", R, uR)):
+        tops = []
+        for (family, kind), P in zip(_POWER_KIND.items(), pivots):
+            top = _power_bound(family, pair)
+            lhs = p_power_iter(P, top)
+            tops.append(lhs)
             rep.check(
                 "power-top",
                 lhs == pivot_power(ctx, kind, i, top),
@@ -392,6 +464,7 @@ def relation_suite(
                 kind=kind,
                 i=i,
             )
+        vS, wR, uR = tops
         rep.check("regenerate-next", ad_power(w_i, vS, PR - 1) == v_n, kind="v", i=i)
         rep.check("regenerate-next", ad_power(v_i, wR, PS - 1) == w_n, kind="w", i=i)
         rep.check("regenerate-next", ad_power(v_i, uR, PS - 1) == u_n, kind="u", i=i)
@@ -752,9 +825,5 @@ def self_similarity_decompose(tup: ParameterTuple, depth: int) -> VerificationRe
             kind=kind,
             period=period,
         )
-    shifted = relation_suite(tup, depth, base_index=period)
-    rep.records += [
-        r._replace(suite=rep.suite, check_id=f"shifted-{r.check_id}")
-        for r in shifted.records
-    ]
+    rep.merge(relation_suite(tup, depth, base_index=period), prefix="shifted-")
     return rep

@@ -1,10 +1,13 @@
 """Bracket/power closure: basis dimensions, gradings, nil chains, recursion."""
 
+import gc
 import hashlib
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloverlie import (
     Derivation,
@@ -155,6 +158,135 @@ def test_check_record_contract(monkeypatch):
     tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
     rep = check_growth_sandwich(tup, growth_table(tup, 300))
     assert calls["add"] == calls["check"] == len(rep.records) == 600
+
+
+class _ListReport:
+    """The report as one list of CheckRecords, kept as the oracle of the
+    column-stored VerificationReport."""
+
+    def __init__(self, suite):
+        self.suite = suite
+        self.records = []
+
+    def add(self, check_id, status, witness=None, **params):
+        self.records.append(
+            CheckRecord(self.suite, check_id, tuple(sorted(params.items())), status, witness)
+        )
+
+    def check(self, check_id, ok, witness=str, **params):
+        self.add(check_id, "pass" if ok else "fail", None if ok else witness(), **params)
+
+    def merge(self, other, prefix=""):
+        self.records += [
+            r._replace(suite=self.suite, check_id=prefix + r.check_id) for r in other.records
+        ]
+
+    @property
+    def passed(self):
+        return all(r.status != "fail" for r in self.records)
+
+    def counts(self):
+        out = {"pass": 0, "fail": 0, "outside-trusted-zone": 0}
+        for r in self.records:
+            out[r.status] = out.get(r.status, 0) + 1
+        return out
+
+    def failures(self):
+        return [r for r in self.records if r.status == "fail"]
+
+    def to_json_lines(self):
+        return "\n".join(r.to_json() for r in self.records)
+
+    def summary(self):
+        c = self.counts()
+        lines = [
+            f"suite {self.suite}: {c['pass']} pass, {c['fail']} fail, "
+            f"{c['outside-trusted-zone']} outside trusted zone"
+        ]
+        for r in self.records:
+            if r.status != "pass":
+                ps = " ".join(f"{k}={v}" for k, v in r.params)
+                lines.append(f"  {r.status.upper()}: {r.check_id} {ps}")
+                if r.witness:
+                    lines.append(f"    witness: {r.witness}")
+        return "\n".join(lines)
+
+
+# kwargs in any order and under several names, so one check id has columns
+# of different shapes
+_PARAMS = st.lists(
+    st.tuples(
+        st.sampled_from(["i", "m", "n", "kind"]),
+        st.one_of(st.integers(-5, 10**6), st.text(max_size=3), st.tuples(st.integers(0, 3))),
+    ),
+    max_size=3,
+    unique_by=lambda kv: kv[0],
+)
+_CHECK_IDS = st.sampled_from(["sandwich-upper", "power-top", "shifted-power-top"])
+_SIMPLE_OPS = st.one_of(
+    st.tuples(st.just("check"), _CHECK_IDS, st.booleans(), st.text(max_size=4), _PARAMS),
+    st.tuples(
+        st.just("add"),
+        _CHECK_IDS,
+        st.sampled_from(["pass", "fail", "outside-trusted-zone"]),
+        st.none() | st.text(max_size=4),
+        _PARAMS,
+    ),
+)
+_OPS = st.lists(
+    _SIMPLE_OPS
+    | st.tuples(st.just("merge"), st.sampled_from(["", "shifted-"]), st.lists(_SIMPLE_OPS)),
+    max_size=30,
+)
+
+
+def _replay(rep, ops):
+    for op in ops:
+        if op[0] == "check":
+            _, check_id, ok, text, params = op
+            rep.check(check_id, ok, witness=lambda: text, **dict(params))
+        elif op[0] == "add":
+            _, check_id, status, witness, params = op
+            rep.add(check_id, status, witness, **dict(params))
+        else:
+            other = type(rep)("shifted")
+            _replay(other, op[2])
+            rep.merge(other, prefix=op[1])
+    return rep
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPS)
+def test_report_matches_list_of_records(ops):
+    want = _replay(_ListReport("demo"), ops)
+    got = _replay(VerificationReport("demo"), ops)
+    assert got.records == want.records
+    assert got.to_json_lines() == want.to_json_lines()
+    assert got.summary() == want.summary()
+    assert got.counts() == want.counts()
+    assert got.failures() == want.failures()
+    assert got.passed == want.passed
+
+
+def test_report_passes_store_no_object_per_record():
+    # a pass is a counter bump and two values in a column: 100,000 of them
+    # add no GC-tracked object and about 56 bytes each (296 bytes each when
+    # every pass was a CheckRecord with its params tuples)
+    n = 100_000
+    gc.collect()
+    before = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        rep = VerificationReport(suite="demo")
+        for m in range(n):
+            rep.check("sandwich-upper", True, m=m, n=m % 7)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    assert len(gc.get_objects()) - before < 200
+    assert size / n < 100
+    assert rep.counts()["pass"] == n and rep.passed
 
 
 def _sha256(text: str) -> str:

@@ -11,6 +11,8 @@ is certified rather than an artifact of floating-point rounding.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,6 +182,7 @@ def gk_density_scan(
     items: list[tuple[float, int, int, int, int]] = []  # (approx, S, R, mu, sigma)
     all_in_range = True
     ctx = mpmath.MPContext()  # 53 bits
+    log_p = ctx.log(p)
     for S in range(1, S_max + 1):
         for R in range(1, R_max + 1):
             mu = p**S + p**R - 1
@@ -187,7 +190,7 @@ def gk_density_scan(
             psig = p**sigma
             if not (mu <= psig <= mu**3):
                 all_in_range = False
-            approx = float(sigma * ctx.log(p) / ctx.log(mu))
+            approx = float(sigma * log_p / ctx.log(mu))
             items.append((approx, S, R, mu, sigma))
 
     items.sort(key=lambda it: it[0])
@@ -206,7 +209,8 @@ def gk_density_scan(
         items.sort(key=cmp_to_key(cmp))
 
     iv = interval_context(max(120, max(it[3].bit_length() for it in items) + 32))
-    vals = [it[4] * iv.log(p) / iv.log(it[3]) for it in items]
+    iv_log_p = iv.log(p)
+    vals = [it[4] * iv_log_p / iv.log(it[3]) for it in items]
     gaps = [0.0]
     for u, v in zip(vals, vals[1:]):
         # count the stretch only when it can intersect the target interval
@@ -229,8 +233,9 @@ def gk_density_scan(
 # -- certified enclosure of the tail product theta ----------------------------
 
 
-def _kappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
-    """Upper bound for sum_{i>I} p^(1-S_i) under the power-law rule.
+def _kappa_tail(tup: ParameterTuple, I: int) -> tuple[Fraction, int] | None:
+    """Upper bound for sum_{i>I} p^(1-S_i) under the power-law rule, and a
+    cofactor c: the bound's denominator is a power of p times a divisor of c.
 
     The rule S_i = floor((i+1)^d) repeats each value s for at most
     (s+1)^(1/d) - s^(1/d) + 1 <= (s+1)^ceil(1/d) indices (as s^(1/d) >= 1),
@@ -247,11 +252,12 @@ def _kappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
     if rho >= 1:
         return None
     first = Fraction((s_min + 1) ** D * p, tup.powers(I + 1)[0])
-    return first / (1 - rho)
+    return first / (1 - rho), (1 - rho).numerator
 
 
-def _qkappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
-    """Upper bound for sum_{i>I} p^(1-S_i) under the tower rule.
+def _qkappa_tail(tup: ParameterTuple, I: int) -> tuple[Fraction, int] | None:
+    """Upper bound for sum_{i>I} p^(1-S_i) under the tower rule, and the
+    cofactor p - 1 of its denominator (see ``_kappa_tail``).
 
     Writes the rule's partial sums as floors of G(n) = exp^(q)(lam*(n+2)).
     Once the certified conditions (true increments of G at least 3 and
@@ -271,13 +277,14 @@ def _qkappa_tail(tup: ParameterTuple, I: int) -> Fraction | None:
         delta_prev = iv.exp(inner) - tower(iv, p, kap, I, q)  # G(I-1) - G(I-2)
         size_ok = delta_prev.a > 3
         if ratio_ok and size_ok:
-            return Fraction(p**2, (p - 1) * tup.powers(I + 1)[0])
+            return Fraction(p**2, (p - 1) * tup.powers(I + 1)[0]), p - 1
     return None
 
 
-def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fraction]:
-    """(num, den, T): theta's partial product num/den through an index I >= target_index,
-    unreduced (den is a power of p), and a certified T >= sum_{i>I} p^(1-S_i), T <= 1/2."""
+def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fraction, int]:
+    """(num, den, T, c): theta's partial product num/den through an index I >= target_index,
+    unreduced (den is a power of p), a certified T >= sum_{i>I} p^(1-S_i), T <= 1/2,
+    and a small c such that T's denominator is a power of p times a divisor of c."""
     p = tup.p
     if tup.kind == "kappa":
         tail_fn, base = _kappa_tail, 8
@@ -289,10 +296,9 @@ def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fr
             f"got kind {tup.kind!r}"
         )
     I = max(base, target_index)
-    tail: Fraction | None = None
     for _ in range(40):
-        tail = tail_fn(tup, I)
-        if tail is not None and tail <= Fraction(1, 2):
+        found = tail_fn(tup, I)
+        if found is not None and found[0] <= Fraction(1, 2):
             break
         I *= 2
     else:
@@ -304,7 +310,28 @@ def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fr
         PS = tup.powers(i)[0]
         num *= PS + p
         den *= PS
-    return num, den, tail
+    return num, den, *found
+
+
+# Fraction(num, den) for num and den > 0 already in lowest terms, without the
+# gcd that Fraction(num, den) takes (a private constructor, spelled per version).
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or functools.partial(
+    Fraction, _normalize=False
+)
+
+
+def _lowest_terms(num: int, den: int, p: int, c: int) -> Fraction:
+    """num/den in lowest terms, for den > 0 a power of p times a divisor of c.
+
+    The common factor is p^k times a divisor of c, so it comes from
+    dividing out p while both are divisible and a gcd with the small c:
+    no gcd of two integers of millions of bits, as in Fraction(num, den).
+    """
+    while num % p == 0 and den % p == 0:
+        num //= p
+        den //= p
+    g = math.gcd(den, math.gcd(num, c))
+    return _coprime_fraction(num // g, den // g)
 
 
 def theta_bounds(tup: ParameterTuple, target_index: int = 0) -> tuple[Fraction, Fraction]:
@@ -316,9 +343,15 @@ def theta_bounds(tup: ParameterTuple, target_index: int = 0) -> tuple[Fraction, 
     Only rules whose S_i provably diverge (power-law and tower rules) admit
     such a certificate.
     """
-    num, den, tail = _theta_partial(tup, target_index)
-    lo = Fraction(num, den)  # reduced once
-    return lo, lo * (1 + 2 * tail)
+    num, den, tail, c = _theta_partial(tup, target_index)
+    p = tup.p
+    lo = _lowest_terms(num, den, p, 1)
+    # the factor's denominator divides the tail's, so c still covers the cofactor
+    factor = 1 + 2 * tail
+    hi = _lowest_terms(
+        lo.numerator * factor.numerator, lo.denominator * factor.denominator, p, c
+    )
+    return lo, hi
 
 
 # -- finite-weight growth bound chains -----------------------------------------
@@ -351,8 +384,7 @@ def check_growth_sandwich(tup: ParameterTuple, table: GrowthTable) -> Verificati
     p3s = ps**3
     # n only grows over the ascending rows, so the bounds move with it
     mu_pow, n, lower_rhs, upper = 1, 0, 1, ps + 1
-    for row in table.rows:
-        m, total = row[0], row[5]
+    for m, total in zip(table.ms, table.totals):
         while mu_pow < m:
             mu_pow *= mu
             n += 1
@@ -418,14 +450,16 @@ def check_quasilinear_bounds(tup: ParameterTuple, table: GrowthTable) -> Verific
     _require_same_rule(tup, table)
     p = tup.p
     rep = VerificationReport(suite="quasilinear-bounds")
-    rows = [row for row in table.rows if row[0] >= 2]
-    if not rows:
+    start = bisect.bisect_left(table.ms, 2)  # the weights ascend
+    ms = table.ms[start:]
+    if not ms:
         return rep
-    ns = _ladder_positions(tup, [row[0] for row in rows])
+    ns = _ladder_positions(tup, ms)
     # compared unreduced: reducing the product of a tower rule's huge powers takes seconds
-    theta_num, theta_den, _ = _theta_partial(tup, ns[-1] + 2)
-    for row, n in zip(rows, ns):
-        m, second, power_second = row[0], row[2], row[4]
+    theta_num, theta_den, _, _ = _theta_partial(tup, ns[-1] + 2)
+    for m, n, second, power_second in zip(
+        ms, ns, table.second[start:], table.power_second[start:]
+    ):
         m0 = tup.pivot_weight(n - 1)
         m1 = m // m0
         p2n = p ** (2 * n)
@@ -565,17 +599,16 @@ def estimate_exponent(table: GrowthTable, level) -> AsymptoticFit:
     its double-log linearization.
     """
     lv = _parse_level(level)
-    if len(table.rows) < 8:
+    weights = table.ms
+    if len(weights) < 8:
         raise ValueError("window too small")
-    weights = [row[0] for row in table.rows]
     m_hi = max(weights)
     if m_hi < 100 * min(weights):
         raise ValueError("window too small")
 
     pts: list[tuple[float, float]] = []
     window_ms: list[int] = []
-    for row in table.rows:
-        m, total = row[0], row[5]
+    for m, total in zip(weights, table.totals):
         if 10 * m < m_hi:
             continue
         if lv == "gk":

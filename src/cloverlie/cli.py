@@ -29,6 +29,9 @@ from .closure import (
 from .monomials import GrowthTable, growth_table
 from .params import ParameterTuple, RoundingAmbiguityError, TupleRuleError
 
+# Characters of table text encoded and written per call by ``growth --out``.
+_WRITE_SLICE = 1 << 20
+
 _TUPLE_HELP = (
     "generation rule: constant:S,R | periodic:S0,R0;S1,R1;... | "
     "kappa:K | qkappa:q,K | explicit:S0,R0;..."
@@ -107,8 +110,10 @@ def _cmd_growth(args) -> int:
     text = table.to_csv() if args.format == "csv" else table.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(table.rows)} rows to {args.out}")
+            # in slices: one write would hold an encoded copy of the whole text
+            for i in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[i : i + _WRITE_SLICE])
+        print(f"wrote {len(table.ms)} rows to {args.out}")
     else:
         sys.stdout.write(text)
     return 0

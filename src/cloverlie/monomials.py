@@ -45,8 +45,10 @@ import io
 import itertools
 import json
 import math
+import operator
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -646,55 +648,142 @@ _CSV_COLUMNS = (
     "power_second",
     "log_gamma_over_log_m",
 )
+_JSON_COLUMNS = ["m", "first", "second", "power_first", "power_second", "gamma_total"]
+# Rows rendered per chunk: to_csv and to_json join one chunk's row strings
+# and drop them before formatting the next chunk.
+_RENDER_CHUNK = 4096
 
 
-@dataclass
-class GrowthTable:
-    """Cumulative per-family basis counts by weight.
+def _validated_columns(rows) -> tuple[list, ...]:
+    """Six list columns, in row order, of (m, first, second, power_first,
+    power_second, total) rows.  Raises ValueError unless every total is the
+    sum of its four counts, weights strictly increase and totals never
+    decrease."""
+    ms, *_, totals = cols = ([], [], [], [], [], [])
+    for row in rows:
+        m, fi, se, pf, ps, tot = row
+        if fi + se + pf + ps != tot:
+            raise ValueError("growth table row total mismatch")
+        if ms and (m <= ms[-1] or tot < totals[-1]):
+            raise ValueError("growth table rows must increase")
+        for col, v in zip(cols, row):
+            col.append(v)
+    return cols
 
-    rows: (m, first, second, power_first, power_second, total) with every
-    count cumulative (weight <= m) and total = sum of the four columns.
-    Every cell is a plain Python int, never a numpy scalar.
+
+class _Rows(Sequence):
+    """Read-only view of growth-table columns as row tuples.
+
+    ``len`` is O(1); an index or iteration yields a tuple of the cells, a
+    slice a list of tuples, and the view equals a list of the same tuples.
     """
 
-    p: int
-    tuple_spec: str
-    rows: list[tuple[int, int, int, int, int, int]] = field(default_factory=list)
+    __slots__ = ("_cols",)
 
-    def __post_init__(self):
-        last = None
-        for row in self.rows:
-            m, fi, se, pf, ps, tot = row
-            if fi + se + pf + ps != tot:
-                raise ValueError("growth table row total mismatch")
-            if last is not None:
-                if m <= last[0] or tot < last[5]:
-                    raise ValueError("growth table rows must increase")
-            last = row
+    def __init__(self, cols):
+        self._cols = cols
 
-    @functools.cached_property
-    def _index(self) -> dict[int, tuple[int, int, int, int, int, int]]:
-        return {row[0]: row for row in self.rows}
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(*(col[i] for col in self._cols)))
+        return tuple(col[i] for col in self._cols)
+
+    def __iter__(self):
+        return zip(*self._cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Rows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class GrowthTable:
+    """Cumulative per-family basis counts by weight, stored by column.
+
+    Column ``ms`` holds the weights m in increasing order; ``first``,
+    ``second``, ``power_first`` and ``power_second`` the counts of weight
+    <= m, and ``totals`` their sums.  A dense table (every weight 1..M)
+    has ``ms = range(1, M + 1)`` and int64 ``array('q')`` count columns; a
+    checkpoint table has lists of Python ints, whose counts outgrow int64.
+    Treat the columns as read-only.
+
+    ``rows`` views the columns as (m, first, second, power_first,
+    power_second, total) tuples of plain ints.  ``GrowthTable(p,
+    tuple_spec, rows)`` stores such tuples as list columns and validates
+    them.
+    """
+
+    __slots__ = ("p", "tuple_spec", "ms", "first", "second", "power_first", "power_second", "totals")
+
+    def __init__(self, p: int, tuple_spec: str, rows=()):
+        self._set(p, tuple_spec, _validated_columns(rows))
+
+    @classmethod
+    def _of_columns(cls, p: int, tuple_spec: str, cols) -> "GrowthTable":
+        """A table over the given columns as they are: no copy, no check."""
+        table = cls.__new__(cls)
+        table._set(p, tuple_spec, cols)
+        return table
+
+    def _set(self, p: int, tuple_spec: str, cols) -> None:
+        self.p, self.tuple_spec = p, tuple_spec
+        self.ms, self.first, self.second, self.power_first, self.power_second, self.totals = cols
+
+    def _row_columns(self) -> tuple:
+        """The six columns in row order."""
+        return (self.ms, self.first, self.second, self.power_first, self.power_second, self.totals)
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self._row_columns())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.p, self.tuple_spec) == (other.p, other.tuple_spec) and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return (
+            f"GrowthTable(p={self.p!r}, tuple_spec={self.tuple_spec!r}, "
+            f"rows=<{len(self.ms)} rows>)"
+        )
 
     def gamma(self, m: int) -> int:
         """Cumulative total at a computed row m."""
-        row = self._index.get(m)
-        if row is None:
+        i = bisect.bisect_left(self.ms, m)
+        if i == len(self.ms) or self.ms[i] != m:
             raise KeyError(f"no computed row at weight {m}")
-        return row[5]
+        return self.totals[i]
 
     def weights(self) -> list[int]:
-        return [row[0] for row in self.rows]
+        return list(self.ms)
+
+    def _chunks(self):
+        """Row tuples of the table, one iterator per chunk of _RENDER_CHUNK rows."""
+        cols = self._row_columns()
+        for lo in range(0, len(self.ms), _RENDER_CHUNK):
+            yield zip(*(col[lo : lo + _RENDER_CHUNK] for col in cols))
 
     def to_csv(self) -> str:
         """CSV text, byte for byte what ``csv.writer`` writes (no cell needs quoting)."""
         lines = [",".join(_CSV_COLUMNS)]
-        lines += [
-            f"{m},{tot},{fi},{se},{pf},{ps},{math.log(tot) / math.log(m):.12g}"
-            if m > 1 and tot > 0
-            else f"{m},{tot},{fi},{se},{pf},{ps},"
-            for m, fi, se, pf, ps, tot in self.rows
-        ]
+        lines += (
+            "\r\n".join(
+                [
+                    f"{m},{tot},{fi},{se},{pf},{ps},{math.log(tot) / math.log(m):.12g}"
+                    if m > 1 and tot > 0
+                    else f"{m},{tot},{fi},{se},{pf},{ps},"
+                    for m, fi, se, pf, ps, tot in rows
+                ]
+            )
+            for rows in self._chunks()
+        )
         lines.append("")
         return "\r\n".join(lines)
 
@@ -704,30 +793,22 @@ class GrowthTable:
         header = next(rd, [])  # an empty file has no header
         if tuple(h.strip() for h in header) != _CSV_COLUMNS:
             raise ValueError("unrecognized growth table header")
-        rows = []
-        for rec in rd:
-            if not rec:
-                continue
-            m, tot, fi, se, pf, ps = (int(x) for x in rec[:6])
-            rows.append((m, fi, se, pf, ps, tot))
-        return cls(p=p, tuple_spec=tuple_spec, rows=rows)
+        cells = (map(int, rec[:6]) for rec in rd if rec)
+        return cls(p, tuple_spec, ((m, fi, se, pf, ps, tot) for m, tot, fi, se, pf, ps in cells))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "tuple": self.tuple_spec,
-                "columns": [
-                    "m",
-                    "first",
-                    "second",
-                    "power_first",
-                    "power_second",
-                    "gamma_total",
-                ],
-                "rows": self.rows,
-            }
+        """What ``json.dumps`` writes for the table with ``rows`` as a list of lists."""
+        head = json.dumps(
+            {"p": self.p, "tuple": self.tuple_spec, "columns": _JSON_COLUMNS, "rows": []}
         )
+        chunks = [
+            ", ".join([f"[{m}, {fi}, {se}, {pf}, {ps}, {tot}]" for m, fi, se, pf, ps, tot in rows])
+            for rows in self._chunks()
+        ] or [""]
+        # the head and tail go onto the end chunks, so the text is joined once
+        chunks[0] = head[: -len("]}")] + chunks[0]
+        chunks[-1] += "]}"
+        return ", ".join(chunks)
 
 
 def _columns(counts):
@@ -743,6 +824,27 @@ def _columns(counts):
 
 # Most rows a growth table holds, dense or by checkpoints.
 TABLE_ROW_CAP = 200_000
+
+
+def _dense_columns(dense) -> list:
+    """Cumulative (first, second, power_first, power_second, total) int64
+    columns over weights 1..M of ``_dense_exact_rows`` counts, which this
+    consumes: each family sum is cumulated in place and copied out."""
+    # imported here: loading the array module adds about 0.15 MiB of RSS to
+    # commands that never build a dense table
+    from array import array
+
+    fams = list(_columns(dense))
+    dense.clear()
+    total = np.zeros(len(fams[0]) - 1, dtype=np.int64)
+    cols = []
+    while fams:
+        arr = fams.pop(0)[1:]
+        np.cumsum(arr, out=arr)
+        total += arr
+        cols.append(array("q", arr.tobytes()))
+    cols.append(array("q", total.tobytes()))
+    return cols
 
 
 def growth_table(
@@ -768,19 +870,18 @@ def growth_table(
         ms = range(1, max_weight + 1)
         dense = _dense_exact_rows(tup, max_weight)
         if dense is not None:
-            # Column-wise over weights 1..M; the int64 totals are safe by the
-            # same M^3 bound as _DENSE_ROW_CAP.  tolist() yields Python ints.
-            cols = _columns({f: np.cumsum(dense[f][1:]) for f in FAMILIES})
-            rows = list(zip(ms, *(c.tolist() for c in (*cols, sum(cols)))))
+            # The int64 totals are safe by the same M^3 bound as _DENSE_ROW_CAP;
+            # cumulative sums of nonnegative counts never decrease.
+            cols = _dense_columns(dense)
             # Cross-check every pivot-ladder weight below max_weight, then
             # the last row, against the big-integer engine.
             for n in itertools.count():
                 m = min(tup.pivot_weight(n), max_weight)
-                if rows[m - 1][1:5] != _columns(count_descriptors(tup, m)):
+                if tuple(col[m - 1] for col in cols[:4]) != _columns(count_descriptors(tup, m)):
                     raise RuntimeError("counting engines disagree")
                 if m == max_weight:
                     break
-            return GrowthTable(p=tup.p, tuple_spec=tup.spec, rows=rows)
+            return GrowthTable._of_columns(tup.p, tup.spec, (ms, *cols))
     else:
         ms = sorted(set(int(w) for w in weights))
         if any(w < 1 for w in ms):
@@ -789,8 +890,5 @@ def growth_table(
             raise ValueError("checkpoint weight beyond max_weight")
         if len(ms) > TABLE_ROW_CAP:
             raise ValueError(f"table too large: {len(ms)} rows exceed cap {TABLE_ROW_CAP}")
-    rows = []
-    for m in ms:
-        cols = _columns(count_descriptors(tup, m))
-        rows.append((m, *cols, sum(cols)))
-    return GrowthTable(p=tup.p, tuple_spec=tup.spec, rows=rows)
+    counted = (_columns(count_descriptors(tup, m)) for m in ms)
+    return GrowthTable(tup.p, tup.spec, ((m, *c, sum(c)) for m, c in zip(ms, counted)))

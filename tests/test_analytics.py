@@ -199,6 +199,49 @@ def test_results_ignore_callers_mpmath_settings():
         mpmath.mp.prec, mpmath.iv.prec = saved
 
 
+def _plain_theta(tup, target_index):
+    """theta_bounds as plain Fraction arithmetic: reduce num/den, then multiply."""
+    num, den, tail, _ = analytics._theta_partial(tup, target_index)
+    lo = Fraction(num, den)
+    return lo, lo * (1 + 2 * tail)
+
+
+@pytest.mark.parametrize(
+    "p, spec, target_indices",
+    [(p, f"kappa:{k}", (0, 4, 11)) for p in (2, 3, 5, 7) for k in ("1/2", "1/3", "2/3")]
+    # at p = 2 the tower's entries stay small through index 5
+    + [(2, "qkappa:1,1", (0, 4))],
+)
+def test_theta_bounds_equal_plain_fractions(p, spec, target_indices):
+    tup = ParameterTuple.from_spec(p, spec)
+    for target_index in target_indices:
+        got, want = theta_bounds(tup, target_index), _plain_theta(tup, target_index)
+        for g, w in zip(got, want):
+            assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+
+
+def test_theta_bounds_tower_rule_p3_takes_no_huge_gcd(monkeypatch):
+    # the tail's denominator has about 750,000 bits here; Fraction reduction
+    # of lo and lo * (1 + 2T) ran gcds of two such integers for about 23 s
+    tup = ParameterTuple.qkappa(3, 1, 1)
+    num, den, _, _ = analytics._theta_partial(tup, 0)
+    gcd, sizes = math.gcd, []
+
+    def spy(*args):
+        sizes.append(min((abs(a).bit_length() for a in args), default=0))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    lo, hi = theta_bounds(tup)
+    monkeypatch.undo()
+    assert max(sizes, default=0) < 10_000
+    # lo equals num/den, and is reduced: its denominator is a power of 3
+    # and its numerator is prime to 3
+    assert lo.numerator * den == num * lo.denominator
+    assert lo.numerator % 3 and 3 ** round(math.log(lo.denominator, 3)) == lo.denominator
+    assert Fraction(2) <= lo < hi < Fraction(21, 10)
+
+
 def test_theta_needs_unbounded_rule():
     with pytest.raises(ValueError, match="power-law or tower"):
         theta_bounds(TUP2)

@@ -96,6 +96,18 @@ def test_growth_out_file(capsys, tmp_path):
     assert table.gamma(15) == table.rows[-1][-1] > 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_growth_out_writes_text_in_slices(capsys, tmp_path, monkeypatch, fmt):
+    # slices of 7 characters cut rows and CRLF pairs; the file is the whole text
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    target = tmp_path / f"t.{fmt}"
+    args = ("growth", "--p", "3", "--tuple", "constant:1,1", "--max-weight", "300")
+    code, out, _ = run(capsys, *args, "--format", fmt, "--out", str(target))
+    assert code == 0 and "wrote 300 rows" in out
+    code, want, _ = run(capsys, *args, "--format", fmt)
+    assert code == 0 and target.read_bytes() == want.encode()
+
+
 def test_growth_rejects_oversized_request(capsys):
     code, _, err = run(
         capsys,

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -406,10 +407,15 @@ def test_growth_table_validates_rows_and_indexes_on_demand():
     with pytest.raises(ValueError, match="rows must increase"):
         GrowthTable(p=2, tuple_spec=TUP2.spec, rows=[(1, 2, 1, 0, 0, 3), (2, 1, 1, 0, 0, 2)])
     t = GrowthTable(p=2, tuple_spec=TUP2.spec, rows=ROWS_2_11)
-    assert "_index" not in vars(t)  # built by the first gamma() call only
+    assert not hasattr(t, "__dict__")  # columns only: gamma bisects, no cached index
     assert t.gamma(5) == 21
     with pytest.raises(KeyError):
         t.gamma(10)
+    sparse = GrowthTable(p=2, tuple_spec=TUP2.spec, rows=[ROWS_2_11[2], ROWS_2_11[8]])
+    assert sparse.gamma(9) == 53
+    for m in (0, 5, 10):
+        with pytest.raises(KeyError):
+            sparse.gamma(m)
 
 
 def test_checkpoint_weights():
@@ -516,3 +522,110 @@ def test_csv_matches_csv_writer_reference():
         )
     assert all(type(v) is int for row in dense.rows for v in row)
     assert json.loads(dense.to_json())["rows"] == [list(row) for row in dense.rows]
+
+
+# ---------------------------------------------------------------------------
+# columnar tables against the row-tuple tables they replaced
+
+
+class _RowTable:
+    """A growth table as a list of row tuples, built and rendered as it was
+    before the table stored columns."""
+
+    def __init__(self, tup, max_weight, weights=None):
+        if weights is None:
+            dense = monomials._dense_exact_rows(tup, max_weight)
+            assert dense is not None
+            cols = monomials._columns({f: np.cumsum(dense[f][1:]) for f in FAMILIES})
+            ms = range(1, max_weight + 1)
+            self.rows = list(zip(ms, *(c.tolist() for c in (*cols, sum(cols)))))
+        else:
+            self.rows = []
+            for m in sorted(set(weights)):
+                cols = monomials._columns(count_descriptors(tup, m))
+                self.rows.append((m, *cols, sum(cols)))
+        self.p, self.tuple_spec = tup.p, tup.spec
+
+    def gamma(self, m):
+        if not hasattr(self, "_index"):
+            self._index = {row[0]: row for row in self.rows}
+        return self._index[m][5]
+
+    def to_csv(self):
+        return _reference_csv(self)
+
+    def to_json(self):
+        columns = ["m", "first", "second", "power_first", "power_second", "gamma_total"]
+        return json.dumps(
+            {"p": self.p, "tuple": self.tuple_spec, "columns": columns, "rows": self.rows}
+        )
+
+
+_ORACLE_TABLES = [
+    (TUP2, 9000, None),
+    (TUP3, 9000, None),
+    (ParameterTuple.constant(5, 1, 1), 9000, None),
+    (ParameterTuple.periodic(2, [(1, 1), (2, 1)]), 9000, None),
+    (ParameterTuple.kappa(2, "1/2"), 10**200, [2, 3, 10**5, *(10**j for j in range(10, 201, 10))]),
+    (ParameterTuple.qkappa(2, 1, 1), 10**40, [2, 3, 10, 100, 1000, 10**6, 10**20, 10**40]),
+]
+
+
+@pytest.mark.parametrize("tup, max_weight, weights", _ORACLE_TABLES)
+def test_columnar_table_matches_row_tuples(tup, max_weight, weights):
+    table = growth_table(tup, max_weight, weights=weights)
+    want = _RowTable(tup, max_weight, weights)
+    assert table.rows == want.rows
+    assert [table.gamma(row[0]) for row in want.rows] == [want.gamma(row[0]) for row in want.rows]
+    assert table.to_csv() == want.to_csv()
+    assert table.to_json() == want.to_json()
+    back = GrowthTable.from_csv(table.to_csv(), p=tup.p, tuple_spec=tup.spec)
+    assert back == table and back.rows == want.rows
+    if weights is not None:  # checkpoint cells outgrow int64
+        assert max(row[5] for row in want.rows) >= 2**63
+
+
+def test_rows_view_semantics():
+    table = growth_table(TUP2, 9)
+    rows = table.rows
+    assert len(rows) == 9 and rows[0] == ROWS_2_11[0] and rows[-1] == ROWS_2_11[-1]
+    assert rows[-9] == rows[0]
+    with pytest.raises(IndexError):
+        rows[9]
+    assert rows[2:5] == ROWS_2_11[2:5] and isinstance(rows[2:5], list)
+    assert rows[::-2] == ROWS_2_11[::-2]
+    assert list(rows) == ROWS_2_11 == rows and rows == table.rows
+    assert rows != ROWS_2_11[:-1] and rows != tuple(ROWS_2_11)
+    assert rows != [list(row) for row in ROWS_2_11]  # rows are tuples, as in a list of them
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(type(v) is int for v in rows[-1])
+    with pytest.raises(TypeError):
+        hash(rows)
+    assert not hasattr(rows, "append")
+    # the view has O(1) len and builds no rows for it
+    big = growth_table(TUP2, 200_000)
+    assert len(big.rows) == 200_000 and big.rows[-1][0] == 200_000
+    checkpoint = growth_table(TUP2, 9, weights=[3, 9])
+    assert len(checkpoint.rows) == 2 and checkpoint.rows[-1] == ROWS_2_11[8]
+
+
+def test_dense_table_stores_no_object_per_row():
+    # five int64 columns and a range: about 43 bytes a row, against 224
+    # bytes, a tuple and up to six ints a row when the table held row tuples
+    # (the collector untracks tuples of ints, so the allocated-block count
+    # is what sees them)
+    n = 200_000
+    growth_table(TUP2, n)  # warm the counting engine's caches
+    gc.collect()
+    before, blocks = len(gc.get_objects()), sys.getallocatedblocks()
+    tracemalloc.start()
+    try:
+        table = growth_table(TUP2, n)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    assert len(gc.get_objects()) - before < 200
+    assert sys.getallocatedblocks() - blocks < n // 100
+    assert size / n <= 64
+    assert len(table.rows) == n

@@ -602,7 +602,7 @@ def test_rows_view_semantics():
     with pytest.raises(TypeError):
         hash(rows)
     assert not hasattr(rows, "append")
-    # the view has O(1) len and builds no rows for it
+    # len and the last row of a 200,000-row view, and of a checkpoint table
     big = growth_table(TUP2, 200_000)
     assert len(big.rows) == 200_000 and big.rows[-1][0] == 200_000
     checkpoint = growth_table(TUP2, 9, weights=[3, 9])

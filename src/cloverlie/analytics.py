@@ -16,7 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 import mpmath
 from mpmath import libmp
@@ -37,6 +36,16 @@ def _float_up(x) -> float:
 
 
 # -- closed-form growth exponent for periodic rules ---------------------------
+
+
+def _exponent_context(mu: int) -> mpmath.MPIntervalContext:
+    """A private interval context fine enough for sigma ln p / ln mu' at every mu' <= mu."""
+    return interval_context(max(120, mu.bit_length() + 32))
+
+
+def _in_range(p: int, mu: int, sigma: int) -> bool:
+    """Whether sigma ln p / ln mu lies in [1, 3]: mu <= p^sigma <= mu^3, exactly."""
+    return mu <= p**sigma <= mu**3
 
 
 @dataclass(frozen=True)
@@ -62,12 +71,8 @@ class GKReport:
         return float(self.lam)
 
     def lam_interval(self) -> tuple[float, float]:
-        """Certified enclosure of the exponent as a float pair.
-
-        Evaluated in a private interval context at max(120, bits(mu) + 32)
-        bits, so the result does not depend on mpmath's global precision.
-        """
-        ctx = interval_context(max(120, self.mu.bit_length() + 32))
+        """Certified enclosure of the exponent as a float pair."""
+        ctx = _exponent_context(self.mu)
         val = self.sigma * ctx.log(self.p) / ctx.log(self.mu)
         return (_float_down(val), _float_up(val))
 
@@ -101,8 +106,7 @@ def gk_periodic(tup: ParameterTuple) -> GKReport:
     """Closed-form growth exponent report for a constant or periodic rule."""
     period, mu, sigma = _period(tup)
     p = tup.p
-    psig = p**sigma
-    if not (mu <= psig <= mu**3):
+    if not _in_range(p, mu, sigma):
         raise ArithmeticError(
             f"certified range check failed: exponent for {tup.spec} "
             "falls outside [1, 3]"
@@ -122,7 +126,7 @@ def gk_periodic(tup: ParameterTuple) -> GKReport:
 
 @dataclass
 class DensityScan:
-    """Sorted growth exponents of every constant rule on an (S, R) grid."""
+    """Growth exponents of every constant rule on an (S, R) grid, in exact order."""
 
     p: int
     S_max: int
@@ -141,16 +145,21 @@ class DensityScan:
         return self.entries[-1][0]
 
 
-# Most cells a density scan takes: the 128 x 128 grid.  The exact re-sort of
-# float near-ties grows much faster than the number of cells.
+# Most cells a density scan takes: the 128 x 128 grid.  Each cell's enclosure
+# costs more as the grid's largest mu grows (256 x 256 takes seconds).
 SCAN_CELL_CAP = 128 * 128
 
 
-def _exponent_le(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """sigma_a ln p / ln mu_a <= sigma_b ln p / ln mu_b, exactly."""
-    mu_a, sig_a = a
-    mu_b, sig_b = b
-    return mu_b**sig_a <= mu_a**sig_b
+def _cmp_cells(x, y) -> int:
+    """Order of two scan cells (lo, hi, mu, sigma, ...), where [lo, hi] encloses
+    the exponent sigma ln p / ln mu scaled to integers: disjoint enclosures
+    decide, overlapping ones compare mu_y**sigma_x with mu_x**sigma_y exactly."""
+    if x[1] < y[0]:
+        return -1
+    if y[1] < x[0]:
+        return 1
+    lhs, rhs = y[2] ** x[3], x[2] ** y[3]
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def gk_density_scan(
@@ -161,10 +170,12 @@ def gk_density_scan(
 ) -> DensityScan:
     """Exponents of all constant rules with 1 <= S <= S_max, 1 <= R <= R_max.
 
-    The list is sorted with exact integer comparisons; the gap statistic is
-    an outward-rounded upper bound on the widest stretch of the target
-    interval containing no exponent, so max_gap <= g certifies density at
-    resolution g.  Refuses a non-prime p and grids above SCAN_CELL_CAP cells.
+    One stable sort orders the cells by interval enclosures at the grid's
+    largest mu, with exact powers only where two overlap (``_cmp_cells``);
+    exact ties keep grid order.  The gap statistic is an outward-rounded
+    upper bound on the widest stretch of the target interval containing no
+    exponent, so max_gap <= g certifies density at resolution g.  Refuses a
+    non-prime p and grids above SCAN_CELL_CAP cells.
     """
     if S_max < 1 or R_max < 1:
         raise ValueError("grid bounds must be >= 1")
@@ -179,38 +190,20 @@ def gk_density_scan(
     if not a < b:
         raise ValueError("interval must satisfy a < b")
 
-    items: list[tuple[float, int, int, int, int]] = []  # (approx, S, R, mu, sigma)
-    all_in_range = True
-    ctx = mpmath.MPContext()  # 53 bits
-    log_p = ctx.log(p)
+    ctx = _exponent_context(p**S_max + p**R_max - 1)  # mu grows with S and R
+    prec, log_p = ctx.prec, ctx.log(p)
+    cells = []  # (lo, hi, mu, sigma, S, R, enclosure), lo and hi scaled by 2^prec
     for S in range(1, S_max + 1):
         for R in range(1, R_max + 1):
-            mu = p**S + p**R - 1
-            sigma = S + 2 * R
-            psig = p**sigma
-            if not (mu <= psig <= mu**3):
-                all_in_range = False
-            approx = float(sigma * log_p / ctx.log(mu))
-            items.append((approx, S, R, mu, sigma))
+            mu, sigma = p**S + p**R - 1, S + 2 * R
+            val = sigma * log_p / ctx.log(mu)
+            lo, hi = (libmp.to_int(libmp.mpf_shift(end, prec), rnd)
+                      for end, rnd in zip(val._mpi_, (libmp.round_floor, libmp.round_ceiling)))
+            cells.append((lo, hi, mu, sigma, S, R, val))
+    all_in_range = all(_in_range(p, mu, sigma) for _, _, mu, sigma, *_ in cells)
+    cells.sort(key=functools.cmp_to_key(_cmp_cells))
 
-    items.sort(key=lambda it: it[0])
-    ordered = all(
-        _exponent_le((items[i][3], items[i][4]), (items[i + 1][3], items[i + 1][4]))
-        for i in range(len(items) - 1)
-    )
-    if not ordered:  # float sort missed a near-tie; redo with exact comparisons
-        def cmp(x, y):
-            if (x[3], x[4]) == (y[3], y[4]):
-                return 0
-            if _exponent_le((x[3], x[4]), (y[3], y[4])):
-                return -1
-            return 1
-
-        items.sort(key=cmp_to_key(cmp))
-
-    iv = interval_context(max(120, max(it[3].bit_length() for it in items) + 32))
-    iv_log_p = iv.log(p)
-    vals = [it[4] * iv_log_p / iv.log(it[3]) for it in items]
+    vals = [cell[6] for cell in cells]
     gaps = [0.0]
     for u, v in zip(vals, vals[1:]):
         # count the stretch only when it can intersect the target interval
@@ -224,7 +217,10 @@ def gk_density_scan(
         S_max=S_max,
         R_max=R_max,
         interval=(a, b),
-        entries=[(it[0], it[1], it[2]) for it in items],
+        entries=[  # the float nearest each enclosure's midpoint
+            (libmp.to_float(val.mid._mpi_[0], rnd=libmp.round_nearest), S, R)
+            for *_, S, R, val in cells
+        ],
         all_in_range=all_in_range,
         max_gap=max(gaps),
     )

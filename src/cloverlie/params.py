@@ -333,13 +333,17 @@ class ParameterTuple:
             return tuple(self._pairs[:n])
 
     def powers(self, n: int) -> tuple[int, int]:
-        """The exponent bounds (p**S_n, p**R_n) of generation n; cached."""
+        """The exponent bounds (p**S_n, p**R_n) of generation n; cached.
+
+        Every entry through n is materialized first, so an entry past the
+        size limit is refused before any earlier power is computed.
+        """
         if n < 0:
             raise ValueError("generation index must be >= 0")
         with self._lock:
-            while len(self._powers) <= n:
-                S, R = self.materialize(len(self._powers))
-                self._powers.append((self.p**S, self.p**R))
+            if len(self._powers) <= n:
+                new = self.pairs(n + 1)[len(self._powers):]
+                self._powers.extend((self.p**S, self.p**R) for S, R in new)
             return self._powers[n]
 
     @property

@@ -1,11 +1,14 @@
 """Growth analytics: exponent formulas, density, sandwich bounds, fitting."""
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloverlie import analytics
 from cloverlie import (
@@ -73,6 +76,67 @@ def test_density_scan_small_grid():
     assert {(S, R) for _, S, R in scan.entries} == {
         (S, R) for S in range(1, 9) for R in range(1, 9)
     }
+    # each approx float is the float nearest the exponent: it lies inside the
+    # cell's enclosure at the grid's precision and inside the enclosure its
+    # own GKReport certifies
+    ctx = analytics._exponent_context(2**8 + 2**8 - 1)
+    fine = mpmath.MPContext()
+    fine.prec = 400
+    for approx, S, R in scan.entries:
+        mu, sigma = 2**S + 2**R - 1, S + 2 * R
+        val = sigma * ctx.log(2) / ctx.log(mu)
+        assert analytics._float_down(val) <= approx <= analytics._float_up(val)
+        lo, hi = gk_periodic(ParameterTuple.constant(2, S, R)).lam_interval()
+        assert lo <= approx <= hi
+        nearest = mpmath.libmp.to_float(
+            (sigma * fine.log(2) / fine.log(mu))._mpf_, rnd=mpmath.libmp.round_nearest
+        )
+        assert approx == nearest
+
+
+def _reference_order(p, S_max, R_max):
+    """(S, R) order of the scan before it sorted by enclosures: a 53-bit float
+    sort, redone with exact power comparisons if an adjacent pair is out of order."""
+    ctx = mpmath.MPContext()  # 53 bits
+    items = []  # (approx, S, R, mu, sigma)
+    for S in range(1, S_max + 1):
+        for R in range(1, R_max + 1):
+            mu, sigma = p**S + p**R - 1, S + 2 * R
+            items.append((float(sigma * ctx.log(p) / ctx.log(mu)), S, R, mu, sigma))
+
+    def le(x, y):  # sigma_x ln p / ln mu_x <= sigma_y ln p / ln mu_y
+        return y[3] ** x[4] <= x[3] ** y[4]
+
+    items.sort(key=lambda it: it[0])
+    if not all(le(x, y) for x, y in zip(items, items[1:])):
+        cmp = lambda x, y: 0 if x[3:] == y[3:] else -1 if le(x, y) else 1  # noqa: E731
+        items.sort(key=functools.cmp_to_key(cmp))
+    return [(S, R) for _, S, R, _, _ in items]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 24), st.integers(1, 24))
+def test_density_scan_order_matches_exact_sort(p, S_max, R_max):
+    scan = gk_density_scan(p, S_max, R_max)
+    assert [(S, R) for _, S, R in scan.entries] == _reference_order(p, S_max, R_max)
+
+
+def test_density_scan_order_when_enclosures_overlap(monkeypatch):
+    # at 4 bits most compared enclosures overlap, so exact powers decide them
+    real_context, real_cmp = analytics.interval_context, analytics._cmp_cells
+    seen = {"all": 0, "overlap": 0}
+
+    def spy(x, y):  # cells are (lo, hi, mu, sigma, ...)
+        seen["all"] += 1
+        seen["overlap"] += not (x[1] < y[0] or y[1] < x[0])
+        return real_cmp(x, y)
+
+    monkeypatch.setattr(analytics, "interval_context", lambda prec: real_context(4))
+    monkeypatch.setattr(analytics, "_cmp_cells", spy)
+    for p, m in [(2, 12), (3, 9), (7, 6)]:
+        scan = gk_density_scan(p, m, m)
+        assert [(S, R) for _, S, R in scan.entries] == _reference_order(p, m, m)
+    assert seen["overlap"] > seen["all"] / 2
 
 
 def test_density_scan_single_cell_edge_gap():

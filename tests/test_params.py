@@ -90,6 +90,16 @@ def test_powers_are_the_exponent_bounds():
         tup.powers(1)
 
 
+def test_refused_power_builds_no_earlier_power():
+    # generation 3 of qkappa:1,1 at p=5 is a 22.6M-bit power and generation
+    # 4 is past the size limit: the refusal comes before any power is built
+    tup = ParameterTuple.qkappa(5, 1, 1)
+    with pytest.raises(TupleRuleError, match="too large to materialize"):
+        tup.powers(4)
+    assert tup._powers == []
+    assert tup.powers(0) == (5, 5)
+
+
 def test_tower_rule_degenerate():
     # a tiny growth target starves the increments and the rule collapses
     tup = ParameterTuple.qkappa(2, 1, "10")

@@ -77,8 +77,12 @@ class GKReport:
         return (_float_down(val), _float_up(val))
 
     def describe(self) -> str:
+        try:
+            mu = str(self.mu)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            mu = f"<{self.mu.bit_length()}-bit integer>"
         return (
-            f"rule {self.tuple_spec} (p={self.p}): mu={self.mu} "
+            f"rule {self.tuple_spec} (p={self.p}): mu={mu} "
             f"sigma={self.sigma} exponent={self.lam}"
         )
 

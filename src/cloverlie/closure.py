@@ -258,64 +258,55 @@ class _Echelon:
         self.rows[lead] = vec
         return vec
 
-    def member(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
 class GradedBasis:
-    """Echelonized basis of a restricted closure, graded by multidegree."""
+    """Echelonized span over F_p, one echelon per multidegree within the cap:
+    the closure's basis and the family spans of ``verify_basis_theorem``.
+    ``member`` is the one membership test; ``restricted_closure`` appends
+    its (multidegree, vector) pairs to ``vectors`` in insertion order."""
 
     def __init__(self, ctx: DpContext, cap: int):
         self.ctx = ctx
         self.cap = cap
         self.components: dict[tuple[int, int, int], _Echelon] = {}
-        # insertion-ordered (multidegree, vector) pairs; each vector wraps a
-        # copy of its echelon row as it was at insertion
         self.vectors: list[tuple[tuple[int, int, int], Derivation]] = []
 
-    def _echelon(self, md) -> _Echelon:
+    def insert(self, md, D: Derivation) -> dict | None:
+        """Insert D at multidegree md: the new reduced row, or None if dependent."""
         ech = self.components.get(md)
         if ech is None:
             ech = self.components[md] = _Echelon(self.ctx.p)
-        return ech
-
-    def insert(self, md, D: Derivation) -> bool:
-        row = self._echelon(md).insert(D.terms)
-        if row is None:
-            return False
-        # _of copies the row, which later inserts reduce in place
-        self.vectors.append((md, Derivation._of(self.ctx, row)))
-        return True
+        return ech.insert(D.terms)
 
     def dims_by_multidegree(self) -> dict[tuple[int, int, int], int]:
         return {md: e.rank for md, e in sorted(self.components.items()) if e.rank}
 
     def dims_by_weight(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for md, e in self.components.items():
-            if e.rank:
-                out[sum(md)] = out.get(sum(md), 0) + e.rank
-        return dict(sorted(out.items()))
+        return _dims_by_weight(self.dims_by_multidegree())
 
     def dimension(self) -> int:
         return sum(e.rank for e in self.components.values())
 
-    def member(self, D: Derivation) -> bool:
-        """Exact membership; inhomogeneous elements split into graded parts."""
-        return _span_member(self.components, D.graded_components())
+    def member(self, parts: dict) -> bool:
+        """Whether every graded part lies in the span; ``parts`` is the
+        {multidegree: Derivation} dict of ``graded_components()``."""
+        for md, part in parts.items():
+            ech = self.components.get(md)
+            if ech is None or ech.reduce(part.terms):
+                return False
+        return True
 
 
-def _span_member(components: dict, parts: dict) -> bool:
-    """Whether every graded part lies in the echelon of its multidegree."""
-    for md, part in parts.items():
-        ech = components.get(md)
-        if ech is None or not ech.member(part.terms):
-            return False
-    return True
+def _dims_by_weight(dims: dict[tuple[int, int, int], int]) -> dict[int, int]:
+    """Per-multidegree dimensions summed by weight, in increasing weight."""
+    out: dict[int, int] = {}
+    for md, n in dims.items():
+        out[sum(md)] = out.get(sum(md), 0) + n
+    return dict(sorted(out.items()))
 
 
 def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedBasis:
@@ -327,8 +318,9 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
     inserted: it brackets vectors[i] with vectors[j] for i = 0 .. j in turn
     while the two weights sum to at most the cap, and then takes the p-th
     power of vectors[j] if p times its weight stays within the cap.  Every
-    nonzero result is split into graded parts and the parts within the cap
-    are inserted.  The walk keeps no state beyond the basis and the index.
+    nonzero result is split into graded parts; each part within the cap that
+    the basis accepts is appended to ``vectors`` as a copy of its new
+    reduced row.  The walk keeps no state beyond the basis and the index.
     The cap must not exceed the trusted weight bound of the generators'
     context.
 
@@ -354,8 +346,9 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
 
     def admit(D: Derivation):
         for md, part in D.graded_components().items():
-            if sum(md) <= weight_cap:
-                basis.insert(md, part)
+            if sum(md) <= weight_cap and (row := basis.insert(md, part)) is not None:
+                # _of copies the row, which later inserts reduce in place
+                vectors.append((md, Derivation._of(ctx, row)))
 
     for g in generators:
         admit(g)
@@ -539,6 +532,8 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     multidegree, the realized descriptors must be linearly independent, the
     first family together with the v/w-power families must span a
     subalgebra, and the second family with the u-power family an ideal.
+    Both family spans are GradedBasis values tested with ``member``;
+    independence uses one echelon across all multidegrees.
     """
     if depth < 3:
         raise ValueError("basis verification requires depth >= 3")
@@ -557,10 +552,8 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             witness=lambda: f"closure={got} descriptors={want}",
             multidegree=md,
         )
-    wt_closure: dict[int, int] = basis.dims_by_weight()
-    wt_pred: dict[int, int] = {}
-    for md, ds in by_md.items():
-        wt_pred[sum(md)] = wt_pred.get(sum(md), 0) + len(ds)
+    wt_closure = basis.dims_by_weight()
+    wt_pred = _dims_by_weight(pred_dims)
     for m in range(1, cap + 1):
         got, want = wt_closure.get(m, 0), wt_pred.get(m, 0)
         rep.check(
@@ -573,9 +566,9 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     p = tup.p
     indep = _Echelon(p)
     indep_ok = True
-    # per-multidegree echelons of the two families, used only for membership
-    first_span: dict[tuple[int, int, int], _Echelon] = {}
-    second_span: dict[tuple[int, int, int], _Echelon] = {}
+    # the spans of the two families, used only for membership
+    first_span = GradedBasis(ctx, cap)
+    second_span = GradedBasis(ctx, cap)
     first_vecs: list[tuple[tuple[int, int, int], Derivation]] = []
     second_vecs: list[tuple[tuple[int, int, int], Derivation]] = []
     for md in sorted(by_md):
@@ -584,7 +577,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             parts = D.graded_components()
             rep.check(
                 "realize-membership",
-                _span_member(basis.components, parts),
+                basis.member(parts),
                 witness=lambda: f"descriptor={d} element={D}",
                 descriptor=str(d),
             )
@@ -605,9 +598,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 span, vecs = first_span, first_vecs
             else:
                 span, vecs = second_span, second_vecs
-            if md not in span:
-                span[md] = _Echelon(p)
-            span[md].insert(D.terms)
+            span.insert(md, D)
             vecs.append((md, D))
     if indep_ok:
         rep.check("realize-independence", True, count=sum(map(len, by_md.values())))
@@ -619,14 +610,14 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             res = bracket(Di, Dj)
             rep.check(
                 "subalgebra-first",
-                _span_member(first_span, res.graded_components()),
+                first_span.member(res.graded_components()),
                 witness=lambda: f"[{Di},{Dj}]={res}",
                 weights=(sum(mdi), sum(mdj)),
             )
         if p * sum(mdi) <= cap:
             rep.check(
                 "subalgebra-first-power",
-                _span_member(first_span, p_power(Di).graded_components()),
+                first_span.member(p_power(Di).graded_components()),
                 witness=lambda: f"power of {Di}",
                 weight=sum(mdi),
             )
@@ -637,7 +628,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
             res = bracket(Di, Dj)
             rep.check(
                 "ideal-second",
-                _span_member(second_span, res.graded_components()),
+                second_span.member(res.graded_components()),
                 witness=lambda: f"[{Di},{Dj}]={res}",
                 weights=(sum(mdi), sum(mdj)),
             )
@@ -645,7 +636,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
         if p * sum(mdj) <= cap:
             rep.check(
                 "ideal-second-power",
-                _span_member(second_span, p_power(Dj).graded_components()),
+                second_span.member(p_power(Dj).graded_components()),
                 witness=lambda: f"power of {Dj}",
                 weight=sum(mdj),
             )
@@ -671,7 +662,7 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
             rep.check(
                 "bracket-grading",
                 not comps
-                or (set(comps) == {target} and _span_member(basis.components, comps)),
+                or (set(comps) == {target} and basis.member(comps)),
                 witness=lambda: f"components={sorted(comps)} expected={target}",
                 i=i,
                 j=j,
@@ -684,7 +675,7 @@ def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
         rep.check(
             "power-grading",
             not comps
-            or (set(comps) == {target} and _span_member(basis.components, comps)),
+            or (set(comps) == {target} and basis.member(comps)),
             witness=lambda: f"components={sorted(comps)} expected={target}",
             i=i,
         )
@@ -719,7 +710,7 @@ def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
     if e.ctx != basis.ctx:
         raise ContextMismatchError("context mismatch")
     parts = e.graded_components()
-    if not _span_member(basis.components, parts):
+    if not basis.member(parts):
         raise ValueError("element outside algebra")
     p = e.ctx.p
     cap = basis.cap

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import cloverlie
-from cloverlie import GrowthTable, cli, closure
+from cloverlie import GrowthTable, ParameterTuple, cli, closure, gk_periodic
 from cloverlie.cli import main
 
 
@@ -183,6 +183,21 @@ def test_gk_tuple(capsys):
     code, out, _ = run(capsys, "gk", "--p", "2", "--tuple", "periodic:1,1;5,1")
     assert code == 0
     assert "1.50844200623" in out
+
+
+@pytest.mark.parametrize(
+    "rule, spec",
+    [(("--S", "20000", "--R", "1"), "constant:20000,1"),
+     (("--tuple", "periodic:20000,1;1,1"), "periodic:20000,1;1,1")],
+)
+def test_gk_mu_beyond_int_str_digit_limit(capsys, rule, spec):
+    # mu = W_q has over 6,000 decimal digits, past the default int-to-str
+    # limit, so it prints by bit length and the exponent still prints
+    code, out, err = run(capsys, "gk", "--p", "2", *rule)
+    assert (code, err) == (0, "")
+    report = gk_periodic(ParameterTuple.from_spec(2, spec))
+    assert f" mu=<{report.mu.bit_length()}-bit integer> " in out
+    assert out.rstrip("\n").split(" exponent=")[1] == report.lam
 
 
 def test_gk_scan(capsys):

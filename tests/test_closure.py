@@ -27,6 +27,7 @@ from cloverlie import (
     growth_table,
 )
 from cloverlie import closure
+from cloverlie.cli import main
 from cloverlie.closure import CheckRecord, _standard_closure, _standard_generators
 from cloverlie.derivations import pivot_power
 
@@ -90,6 +91,28 @@ def test_inhomogeneous_realization_is_a_fail(monkeypatch):
     fails = [r for r in rep.failures() if r.check_id == "realize-multidegree"]
     assert any(r.witness.endswith(" + (2, 1, 0)") for r in fails)
     assert all(r.status == "pass" for r in rep.records if r.check_id.startswith("dimension"))
+
+
+def test_membership_fault_fails_every_membership_check(monkeypatch, capsys):
+    # GradedBasis.member is the one membership test: when it answers False
+    # for everything, every check that reads it fails, and so do the CLI
+    # check and the nil index; the shared closure is built before the patch
+    ctx = _standard_closure(TUP2, 4).ctx
+    monkeypatch.setattr(closure.GradedBasis, "member", lambda self, parts: False)
+    failed = {
+        r.check_id
+        for rep in (verify_basis_theorem(TUP2, 4), verify_grading(TUP2, 4))
+        for r in rep.failures()
+    }
+    assert failed >= {
+        "realize-membership", "subalgebra-first", "subalgebra-first-power",
+        "ideal-second", "ideal-second-power", "bracket-grading", "power-grading",
+    }
+    argv = ["basis", "--p", "2", "--tuple", "constant:1,1", "--depth", "4", "--check"]
+    assert main(argv) == 1
+    assert "    witness: " in capsys.readouterr().out
+    with pytest.raises(ValueError, match="element outside algebra"):
+        nil_index(pivot(ctx, "v", 0), _standard_closure(TUP2, 4))
 
 
 def test_grading_reports():

@@ -22,7 +22,7 @@ from mpmath import libmp
 
 from .closure import VerificationReport
 from .monomials import GrowthTable, count_descriptors, family_totals
-from .params import ParameterTuple, TupleRuleError, _is_prime, interval_context, tower
+from .params import ParameterTuple, _require_prime, interval_context, tower
 
 
 def _float_down(x) -> float:
@@ -183,8 +183,7 @@ def gk_density_scan(
     """
     if S_max < 1 or R_max < 1:
         raise ValueError("grid bounds must be >= 1")
-    if not _is_prime(p):
-        raise TupleRuleError(f"p must be prime, got {p}")
+    _require_prime(p)
     if S_max * R_max > SCAN_CELL_CAP:
         raise ValueError(
             f"grid too large: {S_max} x {R_max} = {S_max * R_max} cells "

@@ -27,7 +27,7 @@ from .closure import (
     verify_grading,
 )
 from .monomials import GrowthTable, growth_table
-from .params import ParameterTuple, RoundingAmbiguityError, TupleRuleError
+from .params import ParameterTuple
 
 # Characters of table text encoded and written per call by ``growth --out``.
 _WRITE_SLICE = 1 << 20
@@ -91,11 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--p", type=int, required=True)
     bd.add_argument("--tuple", dest="tuple_spec", required=True, help=_TUPLE_HELP)
     bd.add_argument("--max-weight", type=int, required=True)
-    bd.add_argument(
-        "--suite",
-        choices=("period", "quasilinear"),
-        help="default: period for constant/periodic rules, quasilinear otherwise",
-    )
 
     f = sub.add_parser("fit", help="diagnostic exponent fit from a saved table")
     f.add_argument("--in", dest="table_path", required=True, help="CSV table path")
@@ -210,10 +205,8 @@ def _quasilinear_checkpoints(tup: ParameterTuple, max_weight: int) -> list[int]:
 
 def _cmd_bounds(args) -> int:
     tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
-    suite = args.suite
-    if suite is None:
-        suite = "quasilinear" if tup.period is None else "period"
-    if suite == "period":
+    # the rule picks the suite: only constant and periodic rules have a period
+    if tup.period is not None:
         table = growth_table(tup, args.max_weight)
         rep = check_growth_sandwich(tup, table)
     else:
@@ -251,10 +244,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (TupleRuleError, RoundingAmbiguityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, OverflowError) as exc:
+    except (MemoryError, OverflowError, RecursionError) as exc:
         # the input is out of range for this machine
         print(f"error: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from .derivations import (
     ad_power,
     bracket,
     p_power,
-    p_power_iter,
     pivot,
     pivot_power,
 )
@@ -92,9 +91,10 @@ class VerificationReport:
 
     A pass without a witness costs a counter bump and its parameter values
     appended to a flat column, one column per check id and parameter names
-    in call order.  Every other record is kept whole.  ``records`` rebuilds
-    the CheckRecord list on demand; the counts, failures and summary read
-    only the pass count and the non-pass records.
+    in call order.  Every other record is kept whole.  ``add`` is the only
+    method that writes these; ``check`` and ``merge`` call it.  ``records``
+    rebuilds the CheckRecord list on demand; the counts, failures and
+    summary read only the pass count and the non-pass records.
     """
 
     __slots__ = ("suite", "_passes", "_columns", "_entries", "_others")
@@ -135,24 +135,10 @@ class VerificationReport:
 
     def merge(self, other: VerificationReport, prefix: str = ""):
         """Append the records of another report under this suite, each check
-        id prefixed."""
-        self._passes += other._passes
-        renamed = {}
-        for key, (_, values) in other._columns.items():
-            new = (prefix + key[0], *key[1:])
-            column = self._columns.get(new)
-            if column is None:
-                column = self._columns[new] = (new, [])
-            column[1].extend(values)
-            renamed[key] = column[0]
-        for entry in other._entries:
-            if type(entry) is CheckRecord:
-                entry = entry._replace(suite=self.suite, check_id=prefix + entry.check_id)
-                if entry.status != "pass":
-                    self._others.append(entry)
-            else:
-                entry = renamed[entry]
-            self._entries.append(entry)
+        id prefixed: ``other.records`` replayed through ``add``, so a report
+        may merge itself."""
+        for r in other.records:
+            self.add(prefix + r.check_id, r.status, r.witness, **dict(r.params))
 
     @property
     def records(self) -> list[CheckRecord]:
@@ -212,7 +198,10 @@ class _Echelon:
 
     A row is a dict in the derivation layout {(var, level, degree, exps): c},
     so ``Derivation.terms`` is a row as it stands and the lead is its least
-    key.  Arguments are copied; ``insert`` reduces the stored rows in place.
+    key.  Every row has lead coefficient 1, and no row holds another row's
+    lead.  Arguments are copied; ``insert`` reduces the stored rows in
+    place.  Both ``reduce`` and ``insert`` change a row only through
+    ``_subtract``.
     """
 
     __slots__ = ("p", "rows")
@@ -221,21 +210,22 @@ class _Echelon:
         self.p = p
         self.rows: dict[tuple, dict] = {}
 
-    def reduce(self, vec: dict) -> dict:
+    def _subtract(self, row: dict, c: int, other: dict) -> None:
+        """row -= c·other (mod p) in place, dropping zero coordinates."""
         p = self.p
+        for k, oc in other.items():
+            nc = (row.get(k, 0) - c * oc) % p
+            if nc:
+                row[k] = nc
+            else:
+                row.pop(k, None)
+
+    def reduce(self, vec: dict) -> dict:
         vec = dict(vec)
-        while True:
-            hits = [k for k in vec if k in self.rows]
-            if not hits:
-                return vec
+        while hits := [k for k in vec if k in self.rows]:
             k = min(hits)
-            c = vec[k]
-            for rk, rc in self.rows[k].items():
-                nc = (vec.get(rk, 0) - c * rc) % p
-                if nc:
-                    vec[rk] = nc
-                else:
-                    vec.pop(rk, None)
+            self._subtract(vec, vec[k], self.rows[k])
+        return vec
 
     def insert(self, vec: dict):
         """Reduce and insert; returns the new reduced row or None if dependent."""
@@ -246,15 +236,9 @@ class _Echelon:
         lead = min(vec)
         inv = pow(vec[lead], p - 2, p)
         vec = {k: (c * inv) % p for k, c in vec.items()}
-        for rlead, row in self.rows.items():
-            c = row.get(lead)
-            if c:
-                for k, vc in vec.items():
-                    nc = (row.get(k, 0) - c * vc) % p
-                    if nc:
-                        row[k] = nc
-                    else:
-                        row.pop(k, None)
+        for row in self.rows.values():
+            if c := row.get(lead):
+                self._subtract(row, c, vec)
         self.rows[lead] = vec
         return vec
 
@@ -416,17 +400,19 @@ def relation_suite(
     top-power collapse onto the next generation, the regeneration brackets
     producing the next generation's pivots, the pairwise brackets of the
     generation's pivots, and the full head grids (iterated ad-actions
-    against their closed forms) for both families.
+    against their closed forms) for both families.  Each p-power is taken
+    once: the top-power and regeneration checks read the last power of each
+    pivot's ladder.
     """
     ctx = DpContext(tup, depth)
     rep = VerificationReport(suite="relations")
     N = depth
+    tops = {}  # (i, kind) -> the ladder's last power, P_i^{[p^top]}
     for i in range(base_index, N):
         pair = tup.materialize(i)
         for family, kind in _POWER_KIND.items():
             top = _power_bound(family, pair)
-            P0 = pivot(ctx, kind, i)
-            cur = P0
+            cur = pivot(ctx, kind, i)
             for m in range(0, top + 1):
                 rhs = pivot_power(ctx, kind, i, m)
                 rep.check(
@@ -440,16 +426,15 @@ def relation_suite(
                 if m == top:
                     break
                 cur = p_power(cur)
+            tops[i, kind] = cur
     for i in range(base_index, N - 1):
         pair = tup.materialize(i)
         PS, PR = tup.powers(i)
-        v_i, w_i, u_i = pivots = [pivot(ctx, k, i) for k in "vwu"]
+        v_i, w_i, u_i = (pivot(ctx, k, i) for k in "vwu")
         v_n, w_n, u_n = (pivot(ctx, k, i + 1) for k in "vwu")
-        tops = []
-        for (family, kind), P in zip(_POWER_KIND.items(), pivots):
+        for family, kind in _POWER_KIND.items():
             top = _power_bound(family, pair)
-            lhs = p_power_iter(P, top)
-            tops.append(lhs)
+            lhs = tops[i, kind]
             rep.check(
                 "power-top",
                 lhs == pivot_power(ctx, kind, i, top),
@@ -457,7 +442,7 @@ def relation_suite(
                 kind=kind,
                 i=i,
             )
-        vS, wR, uR = tops
+        vS, wR, uR = (tops[i, k] for k in "vwu")
         rep.check("regenerate-next", ad_power(w_i, vS, PR - 1) == v_n, kind="v", i=i)
         rep.check("regenerate-next", ad_power(v_i, wR, PS - 1) == w_n, kind="w", i=i)
         rep.check("regenerate-next", ad_power(v_i, uR, PS - 1) == u_n, kind="u", i=i)

@@ -761,9 +761,6 @@ class GrowthTable:
             raise KeyError(f"no computed row at weight {m}")
         return self.totals[i]
 
-    def weights(self) -> list[int]:
-        return list(self.ms)
-
     def _chunks(self):
         """Row tuples of the table, one iterator per chunk of _RENDER_CHUNK rows."""
         cols = self._row_columns()

@@ -50,26 +50,35 @@ class RoundingAmbiguityError(TupleRuleError):
     """A floor could not be certified even at maximal working precision."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
+def _require_prime(p: int) -> None:
+    """Raise TupleRuleError unless p is a certified prime.
+
+    Miller–Rabin with the thirteen primes through 41 as bases proves
+    primality below psi_13 = 3,317,044,064,679,887,385,961,981
+    (Sorenson–Webster 2015); psi_13 itself is a composite that passes every
+    one of them, so p at or above it is refused.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    if p >= psi_13:
+        raise TupleRuleError(f"p cannot be certified prime at or above {psi_13}, got {p}")
+    if p < 2 or any(p % q == 0 for q in bases if q < p):
+        raise TupleRuleError(f"p must be prime, got {p}")
+    if p <= bases[-1]:
+        return
+    d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
             continue
         for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+            x = x * x % p
+            if x == p - 1:
                 break
         else:
-            return False
-    return True
+            raise TupleRuleError(f"p must be prime, got {p}")
 
 
 def integer_root_floor(x: int, k: int) -> int:
@@ -173,8 +182,7 @@ class ParameterTuple:
     """
 
     def __init__(self, p: int, kind: str, /, **params):
-        if not _is_prime(p):
-            raise TupleRuleError(f"p must be prime, got {p}")
+        _require_prime(p)
         if kind not in _KINDS:
             raise TupleRuleError(f"unknown tuple rule {kind!r}")
         self.p = p

@@ -154,7 +154,8 @@ def test_density_scan_input_validation():
         gk_density_scan(2, 3, 3, interval=(2.0, 1.0))
 
 
-@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+# the last passes Miller-Rabin to the twelve prime bases through 37
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 399_165_290_221 * 798_330_580_441])
 def test_density_scan_refuses_non_prime(p):
     with pytest.raises(TupleRuleError, match=f"p must be prime, got {p}"):
         gk_density_scan(p, 3, 3)

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -224,7 +226,9 @@ def test_gk_scan_requires_max(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
+# the last is 399,165,290,221 * 798,330,580,441, which passes Miller-Rabin to
+# the twelve prime bases through 37
+@pytest.mark.parametrize("p", ["0", "1", "-3", "4", "318665857834031151167461"])
 def test_gk_scan_refuses_non_prime(capsys, p):
     code, out, err = run(capsys, "gk", "--scan", "--p", p, "--max", "3")
     assert code == 2
@@ -451,6 +455,23 @@ def test_oversized_closure_is_config_error(argv, dim):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--tuple", "constant:1,1", "--depth", "1000", "--check"],
+        ["nil", "--tuple", "constant:1,1", "--depth", "5000", "--samples", "1",
+         "--seed", "1"],
+    ],
+    ids=["basis-depth1000", "nil-depth5000"],
+)
+def test_out_of_range_depth_is_config_error(argv):
+    # sizing the closure recurses once per generation, past the recursion limit
+    proc = run_subprocess(argv, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: RecursionError maximum recursion depth exceeded"]
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -526,12 +547,30 @@ def test_nonprime_p(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gk", "--S", "1", "--R", "1"],
+        ["growth", "--tuple", "constant:1,1", "--max-weight", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_strong_pseudoprime_p(capsys, argv):
+    # 399,165,290,221 * 798,330,580,441 passes Miller-Rabin to the bases through 37
+    psi_12 = "318665857834031151167461"
+    code, out, err = run(capsys, argv[0], "--p", psi_12, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: p must be prime, got {psi_12}"]
+
+
+@pytest.mark.parametrize(
     "exc, line",
     [
         (MemoryError(), "error: MemoryError"),
         (OverflowError("int too large"), "error: OverflowError int too large"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: RecursionError maximum recursion depth exceeded"),
     ],
-    ids=["memory", "overflow"],
+    ids=["memory", "overflow", "recursion"],
 )
 def test_resource_errors_are_config_errors(capsys, monkeypatch, exc, line):
     def exhausted(args):
@@ -555,3 +594,16 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_readme_command_lines_parse():
+    # every example of README's "Command line" block parses; none is run
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cloverlie ")]
+    assert len(lines) >= 6
+    parser = cli._build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]

@@ -107,27 +107,23 @@ def _flag(name, pair):
     return tuple(None if s is None else s.map(lambda v: [name, v]) for s in pair)
 
 
-def _bounds_run(rule, suite, weight):
-    return ["--tuple", rule, "--max-weight", weight, *([] if suite is None else ["--suite", suite])]
+def _bounds_run(rule, weight):
+    return ["--tuple", rule, "--max-weight", weight]
 
 
-# The rule, suite and weight of ``bounds`` must agree: the period suite takes
-# constant and periodic rules and a dense table, the quasilinear suite power
-# and tower rules and any weight.  An invalid run changes one of the three.
+# The rule picks the suite of ``bounds``, and the weight must suit it: the
+# period suite takes constant and periodic rules and a dense table, the
+# quasilinear suite power and tower rules and any weight.  An invalid run
+# changes one of the two.
 BOUNDS_RUN = (
     st.one_of(
-        st.tuples(REPEATING, st.sampled_from((None, "period")), WEIGHT[0]),
-        st.tuples(ANALYTIC, st.sampled_from((None, "quasilinear")),
-                  st.one_of(WEIGHT[0], HUGE_WEIGHT)),
+        st.tuples(REPEATING, WEIGHT[0]),
+        st.tuples(ANALYTIC, st.one_of(WEIGHT[0], HUGE_WEIGHT)),
     ).map(lambda t: _bounds_run(*t)),
     st.one_of(
-        st.tuples(st.one_of(INVALID_RULE, SHORT_EXPLICIT, EXPLICIT),
-                  st.sampled_from((None, "period", "quasilinear")), WEIGHT[0]),
-        st.tuples(REPEATING, st.just("quasilinear"), WEIGHT[0]),
-        st.tuples(ANALYTIC, st.just("period"), WEIGHT[0]),
-        st.tuples(REPEATING, st.sampled_from((None, "period")),
-                  st.one_of(WEIGHT[1], HUGE_WEIGHT)),
-        st.tuples(ANALYTIC, st.sampled_from((None, "quasilinear")), WEIGHT[1]),
+        st.tuples(st.one_of(INVALID_RULE, SHORT_EXPLICIT, EXPLICIT), WEIGHT[0]),
+        st.tuples(REPEATING, st.one_of(WEIGHT[1], HUGE_WEIGHT)),
+        st.tuples(ANALYTIC, WEIGHT[1]),
     ).map(lambda t: _bounds_run(*t)),
 )
 

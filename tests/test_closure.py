@@ -26,9 +26,9 @@ from cloverlie import (
     check_growth_sandwich,
     growth_table,
 )
-from cloverlie import closure
+from cloverlie import closure, derivations
 from cloverlie.cli import main
-from cloverlie.closure import CheckRecord, _standard_closure, _standard_generators
+from cloverlie.closure import CheckRecord, _Echelon, _standard_closure, _standard_generators
 from cloverlie.derivations import pivot_power
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
@@ -127,6 +127,18 @@ def test_relation_suite_constant_and_periodic():
     assert relation_suite(TUP3, 3).passed
     assert relation_suite(ParameterTuple.periodic(2, [(1, 1), (2, 1)]), 3).passed
 
+
+
+def test_zero_p_power_fails_every_power_check(monkeypatch):
+    # the ladder's powers are the only p-powers the suite takes: the top
+    # power and the regeneration brackets read them, so all three fail
+    def zero(D):
+        return Derivation.zero(D.ctx)
+
+    monkeypatch.setattr(derivations, "p_power", zero)
+    monkeypatch.setattr(closure, "p_power", zero)
+    failed = {r.check_id for r in relation_suite(TUP2, 4).failures()}
+    assert failed == {"power-ladder", "power-top", "regenerate-next"}
 
 def test_report_serialization():
     rep = verify_grading(TUP2, 3)
@@ -291,6 +303,19 @@ def test_report_matches_list_of_records(ops):
     assert got.passed == want.passed
 
 
+
+@pytest.mark.parametrize("prefix", ["x-", ""])
+def test_report_merges_itself(prefix):
+    rep = VerificationReport(suite="demo")
+    rep.check("holds", True, m=1, i=0)
+    rep.check("breaks", False, witness=lambda: "lhs=1 rhs=2", i=1)
+    rep.add("noted", "pass", "kept whole", i=2)
+    rep.add("far", "outside-trusted-zone", weight=9)
+    before = rep.records
+    rep.merge(rep, prefix=prefix)
+    assert rep.records == before + [r._replace(check_id=prefix + r.check_id) for r in before]
+    assert rep.counts() == {"pass": 4, "fail": 2, "outside-trusted-zone": 2}
+
 def test_report_passes_store_no_object_per_record():
     # a pass is a counter bump and two values in a column: 100,000 of them
     # add no GC-tracked object and about 56 bytes each (296 bytes each when
@@ -311,6 +336,42 @@ def test_report_passes_store_no_object_per_record():
     assert size / n < 100
     assert rep.counts()["pass"] == n and rep.passed
 
+
+
+def _dense_rank(vectors, p, n):
+    """Rank over F_p of dict vectors on coordinates 0..n-1, by dense Gaussian
+    elimination: the oracle of _Echelon."""
+    rows = [[v.get(k, 0) for k in range(n)] for v in vectors]
+    rank = 0
+    for col in range(n):
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col] * pow(rows[rank][col], p - 2, p)
+            rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, 4), max_size=6), max_size=12),
+)
+def test_echelon_matches_dense_elimination(p, raw):
+    vectors = [{k: c % p for k, c in v.items() if c % p} for v in raw]
+    copies = [dict(v) for v in vectors]
+    ech = _Echelon(p)
+    for v in vectors:
+        ech.insert(v)
+    assert vectors == copies
+    assert ech.rank == _dense_rank(vectors, p, 8)
+    assert all(ech.reduce(v) == {} for v in vectors)
+    for lead, row in ech.rows.items():
+        assert min(row) == lead and row[lead] == 1
+        assert all(lead not in other for other_lead, other in ech.rows.items() if other_lead != lead)
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

@@ -126,6 +126,21 @@ def test_invalid_rules_rejected(build):
         build()
 
 
+# psi_12 = 399,165,290,221 * 798,330,580,441 passes Miller-Rabin with the
+# twelve prime bases through 37; psi_13 passes the thirteen through 41
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_strong_pseudoprimes_are_refused():
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    with pytest.raises(TupleRuleError, match=f"p must be prime, got {PSI_12}"):
+        ParameterTuple.constant(PSI_12, 1, 1)
+    with pytest.raises(TupleRuleError, match="cannot be certified prime"):
+        ParameterTuple.constant(PSI_13, 1, 1)
+    assert ParameterTuple.constant(2**61 - 1, 1, 1).p == 2**61 - 1
+
+
 def test_json_round_trip():
     for tup in [
         ParameterTuple.constant(2, 1, 1),

@@ -128,7 +128,6 @@ def test_relation_suite_constant_and_periodic():
     assert relation_suite(ParameterTuple.periodic(2, [(1, 1), (2, 1)]), 3).passed
 
 
-
 def test_zero_p_power_fails_every_power_check(monkeypatch):
     # the ladder's powers are the only p-powers the suite takes: the top
     # power and the regeneration brackets read them, so all three fail
@@ -139,6 +138,7 @@ def test_zero_p_power_fails_every_power_check(monkeypatch):
     monkeypatch.setattr(closure, "p_power", zero)
     failed = {r.check_id for r in relation_suite(TUP2, 4).failures()}
     assert failed == {"power-ladder", "power-top", "regenerate-next"}
+
 
 def test_report_serialization():
     rep = verify_grading(TUP2, 3)
@@ -303,7 +303,6 @@ def test_report_matches_list_of_records(ops):
     assert got.passed == want.passed
 
 
-
 @pytest.mark.parametrize("prefix", ["x-", ""])
 def test_report_merges_itself(prefix):
     rep = VerificationReport(suite="demo")
@@ -315,6 +314,7 @@ def test_report_merges_itself(prefix):
     rep.merge(rep, prefix=prefix)
     assert rep.records == before + [r._replace(check_id=prefix + r.check_id) for r in before]
     assert rep.counts() == {"pass": 4, "fail": 2, "outside-trusted-zone": 2}
+
 
 def test_report_passes_store_no_object_per_record():
     # a pass is a counter bump and two values in a column: 100,000 of them
@@ -335,7 +335,6 @@ def test_report_passes_store_no_object_per_record():
     assert len(gc.get_objects()) - before < 200
     assert size / n < 100
     assert rep.counts()["pass"] == n and rep.passed
-
 
 
 def _dense_rank(vectors, p, n):
@@ -372,6 +371,7 @@ def test_echelon_matches_dense_elimination(p, raw):
     for lead, row in ech.rows.items():
         assert min(row) == lead and row[lead] == 1
         assert all(lead not in other for other_lead, other in ech.rows.items() if other_lead != lead)
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

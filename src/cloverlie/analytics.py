@@ -365,7 +365,8 @@ def _require_same_rule(tup: ParameterTuple, table: GrowthTable) -> None:
 
 
 def check_growth_sandwich(tup: ParameterTuple, table: GrowthTable) -> VerificationReport:
-    """Two-sided growth bounds for a periodic rule, exactly at every row.
+    """Two-sided growth bounds for a periodic rule, exactly, decided per
+    ladder segment.
 
     With mu and sigma the per-period weight multiplier and digit budget and
     n = n(m) the least n with mu^n >= m, every row must satisfy
@@ -373,7 +374,11 @@ def check_growth_sandwich(tup: ParameterTuple, table: GrowthTable) -> Verificati
         total(m) * p^(3*sigma) >= p^(sigma*n)                (lower)
         total(m) <= p^(sigma*(n+1)) + p^(sigma*n) + sigma*n  (upper)
 
-    as plain integer comparisons.
+    as plain integer comparisons.  Both bounds are constant on a segment,
+    the rows with mu^(n-1) < m <= mu^n, so its largest and smallest totals
+    decide all of its rows, monotone or not.  A passing segment is one
+    ``add_range`` entry; a failing one is checked row by row, so its
+    records carry their witnesses.
     """
     _, mu, sigma = _period(tup)
     _require_same_rule(tup, table)
@@ -381,28 +386,37 @@ def check_growth_sandwich(tup: ParameterTuple, table: GrowthTable) -> Verificati
     rep = VerificationReport(suite="growth-sandwich")
     ps = p**sigma
     p3s = ps**3
+    ms, totals = table.ms, table.totals
     # n only grows over the ascending rows, so the bounds move with it
     mu_pow, n, lower_rhs, upper = 1, 0, 1, ps + 1
-    for m, total in zip(table.ms, table.totals):
-        while mu_pow < m:
+    i = 0
+    while i < len(ms):
+        while mu_pow < ms[i]:
             mu_pow *= mu
             n += 1
             lower_rhs *= ps
             upper = lower_rhs * ps + lower_rhs + sigma * n
-        rep.check(
-            "sandwich-upper",
-            total <= upper,
-            witness=lambda: f"total={total} exceeds {upper}",
-            m=m,
-            n=n,
-        )
-        rep.check(
-            "sandwich-lower",
-            total * p3s >= lower_rhs,
-            witness=lambda: f"total={total} * p^(3 sigma) below p^(sigma n)={lower_rhs}",
-            m=m,
-            n=n,
-        )
+        j = bisect.bisect_right(ms, mu_pow, i)
+        segment = totals[i:j]
+        if max(segment) <= upper and min(segment) * p3s >= lower_rhs:
+            rep.add_range(("sandwich-upper", "sandwich-lower"), ms[i:j], n=n)
+        else:
+            for m, total in zip(ms[i:j], segment):
+                rep.check(
+                    "sandwich-upper",
+                    total <= upper,
+                    witness=lambda: f"total={total} exceeds {upper}",
+                    m=m,
+                    n=n,
+                )
+                rep.check(
+                    "sandwich-lower",
+                    total * p3s >= lower_rhs,
+                    witness=lambda: f"total={total} * p^(3 sigma) below p^(sigma n)={lower_rhs}",
+                    m=m,
+                    n=n,
+                )
+        i = j
     return rep
 
 

@@ -91,10 +91,11 @@ class VerificationReport:
 
     A pass without a witness costs a counter bump and its parameter values
     appended to a flat column, one column per check id and parameter names
-    in call order.  Every other record is kept whole.  ``add`` is the only
-    method that writes these; ``check`` and ``merge`` call it.  ``records``
-    rebuilds the CheckRecord list on demand; the counts, failures and
-    summary read only the pass count and the non-pass records.
+    in call order.  Every other record is kept whole.  ``add`` writes one
+    record and ``add_range`` a run of witness-less passes as one entry;
+    they are the only writers, and ``check`` and ``merge`` call ``add``.
+    ``records`` rebuilds the CheckRecord list on demand; the counts,
+    failures and summary read only the pass count and the non-pass records.
     """
 
     __slots__ = ("suite", "_passes", "_columns", "_entries", "_others")
@@ -124,6 +125,14 @@ class VerificationReport:
         if status != "pass":
             self._others.append(rec)
 
+    def add_range(self, check_ids, ms, **params):
+        """Record a witness-less pass at each m of the sequence ``ms`` and,
+        within it, of each check id in turn, with params ``m=m, **params``:
+        one entry, whatever the length of ``ms``.  Keeps ``ms`` as given."""
+        entry = _PassRange(tuple(check_ids), ms, params)
+        self._passes += len(ms) * len(entry.check_ids)
+        self._entries.append(entry)
+
     def check(self, check_id: str, ok: bool, witness: Callable[[], str] = str, **params):
         """Record a pass, or a fail with the string that ``witness()`` renders.
 
@@ -145,11 +154,15 @@ class VerificationReport:
         """A new list of every record, params sorted by name."""
         params = {key: _column_params(key[1:], values) for key, values in self._columns.values()}
         suite = self.suite
-        return [
-            entry if type(entry) is CheckRecord
-            else CheckRecord(suite, entry[0], next(params[entry]), "pass")
-            for entry in self._entries
-        ]
+        out = []
+        for entry in self._entries:
+            if type(entry) is CheckRecord:
+                out.append(entry)
+            elif type(entry) is _PassRange:
+                out += entry.records(suite)
+            else:
+                out.append(CheckRecord(suite, entry[0], next(params[entry]), "pass"))
+        return out
 
     @property
     def passed(self) -> bool:
@@ -188,6 +201,29 @@ def _column_params(names: tuple[str, ...], values: list):
     order = sorted(range(len(names)), key=names.__getitem__)
     rows = zip(*[iter(values)] * len(names))
     return (tuple((names[i], row[i]) for i in order) for row in rows)
+
+
+class _PassRange:
+    """The report entry of ``add_range``: at each m of ``ms``, a pass of
+    each check id, with the params sorted by name around ``("m", m)``."""
+
+    __slots__ = ("check_ids", "ms", "head", "tail")
+
+    def __init__(self, check_ids: tuple[str, ...], ms, params: dict):
+        # dict() refuses an "m" among params, as a call with m=m, **params would
+        names = sorted(dict(m=None, **params))
+        i = names.index("m")
+        self.check_ids, self.ms = check_ids, ms
+        self.head = tuple((name, params[name]) for name in names[:i])
+        self.tail = tuple((name, params[name]) for name in names[i + 1 :])
+
+    def records(self, suite: str) -> list[CheckRecord]:
+        head, tail = self.head, self.tail
+        return [
+            CheckRecord(suite, check_id, (*head, ("m", m), *tail), "pass")
+            for m in self.ms
+            for check_id in self.check_ids
+        ]
 
 
 # -- echelonized graded basis ------------------------------------------------------

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from cloverlie import analytics
 from cloverlie import (
+    GrowthTable,
     ParameterTuple,
     TupleRuleError,
+    VerificationReport,
     check_cubic_bounds,
     check_growth_sandwich,
     check_quasilinear_bounds,
@@ -213,6 +215,110 @@ def test_sandwich_rejects_mismatched_table():
     t = growth_table(TUP2, 20)
     with pytest.raises(ValueError):
         check_growth_sandwich(ParameterTuple.constant(3, 1, 1), t)
+
+
+def _sandwich_per_row(tup, table):
+    """The sandwich suite decided one row at a time: the oracle of the
+    segment walk in ``check_growth_sandwich``."""
+    _, mu, sigma = analytics._period(tup)
+    ps = tup.p**sigma
+    rep = VerificationReport(suite="growth-sandwich")
+    mu_pow, n, lower_rhs, upper = 1, 0, 1, ps + 1
+    for m, total in zip(table.ms, table.totals):
+        while mu_pow < m:
+            mu_pow *= mu
+            n += 1
+            lower_rhs *= ps
+            upper = lower_rhs * ps + lower_rhs + sigma * n
+        rep.check(
+            "sandwich-upper", total <= upper, witness=lambda: f"total={total} exceeds {upper}",
+            m=m, n=n,
+        )
+        rep.check(
+            "sandwich-lower",
+            total * ps**3 >= lower_rhs,
+            witness=lambda: f"total={total} * p^(3 sigma) below p^(sigma n)={lower_rhs}",
+            m=m,
+            n=n,
+        )
+    return rep
+
+
+def _assert_same_report(got, want):
+    assert got.to_json_lines() == want.to_json_lines()
+    assert got.summary() == want.summary()
+    assert got.counts() == want.counts()
+    assert got.failures() == want.failures()
+    assert got.passed == want.passed
+
+
+def _with_total(table, i, total):
+    """The table with row i's total replaced: unchecked, as a fault."""
+    totals = list(table.totals)
+    totals[i] = total
+    cols = (table.ms, table.first, table.second, table.power_first, table.power_second, totals)
+    return GrowthTable._of_columns(table.p, table.tuple_spec, cols)
+
+
+def _sandwich_bounds(tup, m):
+    """(upper, lower_rhs, p^(3 sigma)) of the sandwich at weight m."""
+    _, mu, sigma = analytics._period(tup)
+    n = 0
+    while mu**n < m:
+        n += 1
+    ps = tup.p**sigma
+    return ps ** (n + 1) + ps**n + sigma * n, ps**n, ps**3
+
+
+_PERIODIC2 = ParameterTuple.periodic(2, [(1, 1), (2, 1)])  # mu = 15
+
+
+# the first row, both sides of the ladder boundaries 15 and 225, the last row
+@pytest.mark.parametrize("m", [1, 15, 16, 225, 226, 3000])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_sandwich_fault_matches_per_row_oracle(m, side):
+    upper, lower_rhs, p3s = _sandwich_bounds(_PERIODIC2, m)
+    # just past the bound: one more than upper, or the largest total whose
+    # p^(3 sigma) multiple stays below lower_rhs
+    bad = upper + 1 if side == "upper" else (lower_rhs - 1) // p3s
+    table = _with_total(growth_table(_PERIODIC2, 3000), m - 1, bad)
+    want = _sandwich_per_row(_PERIODIC2, table)
+    assert [r.check_id for r in want.failures()] == [f"sandwich-{side}"]
+    assert dict(want.failures()[0].params)["m"] == m
+    _assert_same_report(check_growth_sandwich(_PERIODIC2, table), want)
+
+
+_SANDWICH_SPECS = [
+    "constant:1,1",
+    "constant:2,1",
+    "constant:1,2",
+    "periodic:1,1;2,1",
+    "periodic:2,1;1,2",
+    "periodic:1,2;1,1;2,1",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    spec=st.sampled_from(_SANDWICH_SPECS),
+    rows=st.integers(1, 3000),
+    data=st.data(),
+)
+def test_sandwich_matches_per_row_oracle(p, spec, rows, data):
+    tup = ParameterTuple.from_spec(p, spec)
+    table = growth_table(tup, rows)
+    if data.draw(st.booleans(), label="checkpoints"):
+        weights = data.draw(st.sets(st.integers(1, rows), min_size=1, max_size=40), label="weights")
+        table = GrowthTable(p, tup.spec, [table.rows[m - 1] for m in sorted(weights)])
+    fault = data.draw(
+        st.none() | st.tuples(st.integers(0, len(table.ms) - 1), st.integers(-10**9, 10**9)),
+        label="fault",
+    )
+    if fault is not None:
+        i, delta = fault
+        table = _with_total(table, i, table.totals[i] + delta)
+    _assert_same_report(check_growth_sandwich(tup, table), _sandwich_per_row(tup, table))
 
 
 # ---------------------------------------------------------------------------

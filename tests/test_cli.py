@@ -383,6 +383,30 @@ def test_bounds_power_rule_default_suite(capsys):
     assert "quasilinear-bounds" in out
 
 
+def test_bounds_failed_check_exits_1(capsys, monkeypatch):
+    # one total pushed past the upper bound at m = 226, the first row of
+    # ladder segment n = 3 (mu = 15): that row fails with its witness
+    real = cli.growth_table
+
+    def corrupted(tup, max_weight, weights=None):
+        t = real(tup, max_weight, weights)
+        totals = list(t.totals)
+        totals[225] += 10**9
+        cols = (t.ms, t.first, t.second, t.power_first, t.power_second, totals)
+        return GrowthTable._of_columns(t.p, t.tuple_spec, cols)
+
+    monkeypatch.setattr(cli, "growth_table", corrupted)
+    code, out, _ = run(
+        capsys, "bounds", "--p", "2", "--tuple", "periodic:1,1;2,1", "--max-weight", "3000"
+    )
+    assert code == 1
+    assert out == (
+        "suite growth-sandwich: 5999 pass, 1 fail, 0 outside trusted zone\n"
+        "  FAIL: sandwich-upper m=226 n=3\n"
+        "    witness: total=1000009079 exceeds 270532629\n"
+    )
+
+
 def test_bounds_suite_mismatch_is_config_error(capsys):
     code, _, err = run(
         capsys,

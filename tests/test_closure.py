@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cloverlie import (
     Derivation,
     DpContext,
+    GrowthTable,
     ParameterTuple,
     count_descriptors,
     nil_index,
@@ -176,8 +177,9 @@ def test_check_record_contract(monkeypatch):
         '"suite": "demo", "witness": "lhs=1 rhs=2"}'
     )
 
-    # every check goes through add, the one record constructor
-    calls = {"add": 0, "check": 0}
+    # a passing ladder segment is one add_range call; only the rows of a
+    # failing segment go through check, and each check through add
+    calls = {"add": 0, "check": 0, "add_range": 0}
 
     def count_calls(name):
         method = getattr(VerificationReport, name)
@@ -188,11 +190,22 @@ def test_check_record_contract(monkeypatch):
 
         monkeypatch.setattr(VerificationReport, name, counted)
 
-    count_calls("add")
-    count_calls("check")
-    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
-    rep = check_growth_sandwich(tup, growth_table(tup, 300))
-    assert calls["add"] == calls["check"] == len(rep.records) == 600
+    for name in calls:
+        count_calls(name)
+    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])  # mu = 15
+    table = growth_table(tup, 300)  # segments m = 1, 2..15, 16..225, 226..300
+    rep = check_growth_sandwich(tup, table)
+    assert len(rep.records) == 600
+    assert calls == {"add": 0, "check": 0, "add_range": 4}
+
+    calls.update(dict.fromkeys(calls, 0))
+    totals = list(table.totals)
+    totals[19] = -1  # m = 20 fails the lower bound of segment 16..225
+    cols = (table.ms, table.first, table.second, table.power_first, table.power_second, totals)
+    rep = check_growth_sandwich(tup, GrowthTable._of_columns(2, tup.spec, cols))
+    assert [dict(r.params) for r in rep.failures()] == [{"m": 20, "n": 2}]
+    assert len(rep.records) == 600
+    assert calls == {"add": 2 * 210, "check": 2 * 210, "add_range": 3}
 
 
 class _ListReport:
@@ -210,6 +223,11 @@ class _ListReport:
 
     def check(self, check_id, ok, witness=str, **params):
         self.add(check_id, "pass" if ok else "fail", None if ok else witness(), **params)
+
+    def add_range(self, check_ids, ms, **params):
+        for m in ms:
+            for check_id in check_ids:
+                self.add(check_id, "pass", m=m, **params)
 
     def merge(self, other, prefix=""):
         self.records += [
@@ -260,6 +278,13 @@ _PARAMS = st.lists(
 _CHECK_IDS = st.sampled_from(["sandwich-upper", "power-top", "shifted-power-top"])
 _SIMPLE_OPS = st.one_of(
     st.tuples(st.just("check"), _CHECK_IDS, st.booleans(), st.text(max_size=4), _PARAMS),
+    # add_range sets m itself, so its params are drawn without one
+    st.tuples(
+        st.just("range"),
+        st.lists(_CHECK_IDS, max_size=3),
+        st.lists(st.integers(-5, 10**6), max_size=4) | st.builds(range, st.integers(0, 5)),
+        _PARAMS.filter(lambda kvs: all(k != "m" for k, _ in kvs)),
+    ),
     st.tuples(
         st.just("add"),
         _CHECK_IDS,
@@ -283,6 +308,9 @@ def _replay(rep, ops):
         elif op[0] == "add":
             _, check_id, status, witness, params = op
             rep.add(check_id, status, witness, **dict(params))
+        elif op[0] == "range":
+            _, check_ids, ms, params = op
+            rep.add_range(check_ids, ms, **dict(params))
         else:
             other = type(rep)("shifted")
             _replay(other, op[2])
@@ -310,10 +338,16 @@ def test_report_merges_itself(prefix):
     rep.check("breaks", False, witness=lambda: "lhs=1 rhs=2", i=1)
     rep.add("noted", "pass", "kept whole", i=2)
     rep.add("far", "outside-trusted-zone", weight=9)
+    rep.add_range(("lo", "hi"), range(5, 7), n=3)
     before = rep.records
+    assert before[-4:] == [
+        CheckRecord("demo", check_id, (("m", m), ("n", 3)), "pass")
+        for m in (5, 6)
+        for check_id in ("lo", "hi")
+    ]
     rep.merge(rep, prefix=prefix)
     assert rep.records == before + [r._replace(check_id=prefix + r.check_id) for r in before]
-    assert rep.counts() == {"pass": 4, "fail": 2, "outside-trusted-zone": 2}
+    assert rep.counts() == {"pass": 12, "fail": 2, "outside-trusted-zone": 2}
 
 
 def test_report_passes_store_no_object_per_record():
@@ -335,6 +369,21 @@ def test_report_passes_store_no_object_per_record():
     assert len(gc.get_objects()) - before < 200
     assert size / n < 100
     assert rep.counts()["pass"] == n and rep.passed
+
+
+def test_sandwich_report_retains_one_entry_per_segment():
+    # 200,000 rows of passes in 6 ladder segments: 15.5 MiB retained when
+    # every row went through check
+    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
+    table = growth_table(tup, 200_000)
+    tracemalloc.start()
+    try:
+        rep = check_growth_sandwich(tup, table)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size < 64 * 1024
+    assert rep.counts() == {"pass": 400_000, "fail": 0, "outside-trusted-zone": 0}
 
 
 def _dense_rank(vectors, p, n):

@@ -730,18 +730,14 @@ def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
     """
     if e.ctx != basis.ctx:
         raise ContextMismatchError("context mismatch")
-    parts = e.graded_components()
-    if not basis.member(parts):
+    if not basis.member(e.graded_components()):
         raise ValueError("element outside algebra")
     p = e.ctx.p
     cap = basis.cap
     cur = e
     k = 0
     weights = []
-    while True:
-        if not parts:
-            return NilResult("nil", k, p, tuple(weights))
-        wt = max(map(sum, parts))
+    while (wt := cur.weight()) is not None:
         weights.append(wt)
         if p * wt > cap:
             return NilResult(
@@ -752,8 +748,12 @@ def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
                 witness=f"next power would leave trusted zone ({p * wt} > {cap})",
             )
         cur = p_power(cur)
-        parts = cur.graded_components()
         k += 1
+    return NilResult("nil", k, p, tuple(weights))
+
+
+# Largest sample count sample_nil_chains accepts (about a minute at p=2 depth 5).
+MAX_NIL_SAMPLES = 100_000
 
 
 def sample_nil_chains(
@@ -771,10 +771,11 @@ def sample_nil_chains(
     that several chain steps stay inside the trusted zone).  The closure is
     the one the verification suites share for this (tuple, depth); there is
     no parameter to pass another basis.  A negative sample count or a
-    max_terms below 1 raises ValueError.
+    max_terms below 1 raises ValueError, and so does a sample count above
+    MAX_NIL_SAMPLES, because every result is kept.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    if not 0 <= samples <= MAX_NIL_SAMPLES:
+        raise ValueError(f"samples must be in 0..{MAX_NIL_SAMPLES}, got {samples}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     basis = _standard_closure(tup, depth)

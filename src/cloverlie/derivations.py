@@ -18,12 +18,17 @@ algebra is of this shape — so the commutator has the closed form
 which costs one exponent test, one tuple splice and one monomial product per
 pair of terms.  The p-fold composition D∘…∘D is again of this shape and is
 reconstructed from its values on the generator monomials t_a^{(p^j)} by a
-triangular elimination.
+triangular elimination.  D sends t_a^{(p^j)} to zero unless it has a shift
+on a, so only the shifted variables are visited, and the composition stops
+as soon as the image is zero.  ``_shifts`` carries each coefficient
+monomial with its support (the positions of its nonzero exponents), so a
+product in ``_act`` tests bound and binomial on those positions only.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .dpalgebra import (
     AXES,
@@ -106,10 +111,15 @@ class Derivation(LinearCombination):
     # -- operator action -----------------------------------------------------
 
     def _shifts(self) -> list:
-        """The terms grouped by shift: (index, p^level, [(exps, c), ...])."""
+        """The terms grouped by shift: (index, p^level, [(exps, support, c), ...]),
+        where ``support`` lists the positions of the nonzero entries of exps."""
+        p, positions = self.ctx.p, range(len(self.ctx.bounds))
         groups: dict[tuple[int, int], list] = {}
         for ((g, a), level, _deg, exps), c in self.terms.items():
-            groups.setdefault((3 * g + a, self.ctx.p**level), []).append((exps, c))
+            # a list: thousands of short tuples freed per nil run would stay
+            # on the interpreter's tuple free lists (about 1 MiB of peak RSS)
+            support = list(itertools.compress(positions, exps))
+            groups.setdefault((3 * g + a, p**level), []).append((exps, support, c))
         return [(i, step, monos) for (i, step), monos in groups.items()]
 
     def apply(self, f: AlgebraElement) -> AlgebraElement:
@@ -151,8 +161,20 @@ class Derivation(LinearCombination):
         return next(iter(parts))
 
     def weight(self) -> int | None:
-        md = self.multidegree()
-        return None if md is None else sum(md)
+        """Largest weight of a term; None when zero.
+
+        A term t^{(e)}·∂_a^{p^m} weighs p^m·W[a] − Σ e_k·W[k], where W[k] is
+        the grade sum of variable k; for a homogeneous derivation this is
+        the sum of its multidegree.
+        """
+        if not self.terms:
+            return None
+        p = self.ctx.p
+        W = [sum(grade) for grade in self.ctx.grades]
+        return max(
+            p**level * W[3 * g + a] - sum(map(operator.mul, exps, W))
+            for (g, a), level, _deg, exps in self.terms
+        )
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms by (variable, level), then graded-lex by monomial."""
@@ -266,41 +288,60 @@ def ad_power(D: Derivation, E: Derivation, k: int) -> Derivation:
 
 
 def _act(ctx: DpContext, shifts: list, poly: dict) -> dict:
-    """D(f) for D given by its ``_shifts`` and f as {exps: c}, in the same form."""
+    """D(f) for D given by its ``_shifts`` and f as {exps: c}, in the same form.
+
+    Each product t^{(ea)}·t^{(eb)} is tested on the support of ea only: the
+    other positions neither overflow nor carry a binomial.
+    """
     p, bounds = ctx.p, ctx.bounds
     out: dict[tuple, int] = {}
     for i, step, monos in shifts:
         for eb, cb in poly.items():
             if eb[i] >= step:
                 eb = eb[:i] + (eb[i] - step,) + eb[i + 1:]
-                for ea, ca in monos:
-                    prod = _mul_exps(ea, eb, bounds, p)
-                    if prod:
-                        b, e = prod
-                        out[e] = (out.get(e, 0) + b * ca * cb) % p
+                for ea, support, ca in monos:
+                    b = ca * cb
+                    for k in support:
+                        y = eb[k]
+                        if y:
+                            s = ea[k] + y
+                            if s >= bounds[k]:
+                                break
+                            b = b * binom_mod_p(s, y, p) % p
+                            if not b:
+                                break
+                    else:
+                        e = tuple(map(operator.add, ea, eb))
+                        out[e] = (out.get(e, 0) + b) % p
     return {e: c for e, c in out.items() if c}
 
 
 def p_power(D: Derivation) -> Derivation:
     """The p-th power D^{[p]} = D∘…∘D (p factors), reconstructed exactly.
 
-    The composition is evaluated on every generator monomial t_a^{(p^j)} and
-    the coefficients are recovered by triangular elimination in j: the
+    The composition is evaluated on the generator monomials t_a^{(p^j)} of
+    every variable a that D shifts (it kills the others) and the
+    coefficients are recovered by triangular elimination in j: the
     coefficient f_j of ∂_a^{p^j} is the image minus f_i·t_a^{(p^j − p^i)}
     for every i < j.
     """
     ctx = D.ctx
     p, bounds = ctx.p, ctx.bounds
     shifts = D._shifts()
+    shifted = {i for i, _step, _monos in shifts}
 
     def compose_p(poly: dict) -> dict:
         for _ in range(p):
+            if not poly:
+                break
             poly = _act(ctx, shifts, poly)
         return poly
 
     terms = {}
     for var in ctx.variables():
         a = ctx.index(var)
+        if a not in shifted:
+            continue
         recovered: list[dict] = []
         for j in range(ctx.levels[a]):
             unit = [0] * len(bounds)

@@ -306,6 +306,50 @@ def test_nil_rejects_negative_samples(capsys):
     assert err.startswith("error:")
 
 
+def _no_closure(*args):
+    raise AssertionError("closure built for a refused sample count")
+
+
+@pytest.mark.parametrize("samples", [closure.MAX_NIL_SAMPLES + 1, 100_000_000_000])
+def test_nil_refuses_samples_above_cap(capsys, monkeypatch, samples):
+    # every result is kept, so an unbounded count would run until killed;
+    # it is refused before the closure is built
+    monkeypatch.setattr(closure, "_standard_closure", _no_closure)
+    code, out, err = run(
+        capsys,
+        "nil",
+        "--p",
+        "2",
+        "--tuple",
+        "constant:1,1",
+        "--depth",
+        "5",
+        "--samples",
+        str(samples),
+        "--seed",
+        "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: samples must be in 0..{closure.MAX_NIL_SAMPLES}, got {samples}"
+    ]
+
+
+def test_nil_accepts_samples_at_cap(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(closure, "_standard_closure", reached)
+    with pytest.raises(Reached):
+        closure.sample_nil_chains(
+            ParameterTuple.constant(2, 1, 1), 5, closure.MAX_NIL_SAMPLES, seed=1
+        )
+
+
 @pytest.mark.parametrize("max_terms", ["0", "-2"])
 def test_nil_rejects_max_terms_below_one(capsys, max_terms):
     code, out, err = run(

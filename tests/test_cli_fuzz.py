@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from cloverlie import ParameterTuple, growth_table
 from cloverlie.cli import main
+from cloverlie.closure import MAX_NIL_SAMPLES
 
 # Seconds one invocation may take; the slowest inputs these strategies can
 # draw (nil and basis --check at p = 3, depth 3) need about 9 s.
@@ -154,7 +155,8 @@ COMMANDS = {
     ),
     "nil": _argv(
         "nil", _flag("--p", SMALL_P), _flag("--tuple", CLOSURE_RULE), _flag("--depth", DEPTH),
-        _flag("--samples", (st.integers(1, 5), st.integers(-1, 0))),
+        _flag("--samples", (st.integers(1, 5), st.one_of(
+            st.integers(-1, 0), st.sampled_from((MAX_NIL_SAMPLES + 1, 10**11))))),
         _flag("--seed", (st.integers(0, 9), None)),
     ),
     "bounds": _argv("bounds", _flag("--p", P), BOUNDS_RUN),
@@ -230,3 +232,14 @@ def test_cli_keeps_exit_code_contract(command, tables, data):
 @given(SCAN)
 def test_gk_scan_keeps_exit_code_contract(argv):
     check_contract(argv)
+
+
+def test_nil_above_sample_cap_is_refused():
+    # the invalid --samples pool holds this count, but 15 draws rarely reach it
+    argv = ["nil", "--p", "2", "--tuple", "constant:1,1", "--depth", "2",
+            "--samples", str(MAX_NIL_SAMPLES + 1), "--seed", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: samples must be in")

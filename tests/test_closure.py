@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from cloverlie import (
     ParameterTuple,
     count_descriptors,
     nil_index,
+    p_power,
     pivot,
     relation_suite,
     restricted_closure,
@@ -542,6 +544,37 @@ def test_sampled_chains_deterministic_and_sound():
             assert len(r.chain_weights) == r.k
     other = sample_nil_chains(TUP2, 4, 25, seed=8)
     assert [(r.status, r.k) for r in other] != [(r.status, r.k) for r in runs[0]]
+
+
+def _chain_weights_by_parts(e, cap):
+    """The nil chain's weights as they were first computed: the largest
+    multidegree sum among the graded parts of each power."""
+    p, weights = e.ctx.p, []
+    while parts := e.graded_components():
+        weights.append(max(map(sum, parts)))
+        if p * weights[-1] > cap:
+            break
+        e = p_power(e)
+    return tuple(weights)
+
+
+@pytest.mark.parametrize("tup, depth, samples", [(TUP2, 4, 60), (TUP3, 3, 40)])
+def test_nil_chain_weights_match_graded_parts(tup, depth, samples):
+    basis = _standard_closure(tup, depth)
+    ctx, cap, p = basis.ctx, basis.cap, tup.p
+    rng = random.Random(20 * depth + p)
+    inhomogeneous = 0
+    for _ in range(samples):
+        budget = rng.choice([cap // (p * p), cap // p, cap])
+        pool = [D for md, D in basis.vectors if sum(md) <= budget]
+        e = Derivation.zero(ctx)
+        for _ in range(rng.randint(1, 5)):
+            e = e + rng.choice(pool).scale(rng.randrange(1, p))
+        inhomogeneous += len(e.graded_components()) > 1
+        res = nil_index(e, basis)
+        assert res.chain_weights == _chain_weights_by_parts(e, cap)
+        assert len(res.chain_weights) == res.k + (res.status == "inconclusive")
+    assert inhomogeneous
 
 
 def test_sampled_chains_p3():

@@ -316,11 +316,12 @@ def nested_p_power(ctx, F):
     return out
 
 
-def random_terms(ctx, rng, k):
-    """k random terms with arbitrary shifts, levels and exponents."""
+def random_terms(ctx, rng, k, shifted=None):
+    """k random terms with arbitrary levels and exponents, shifting the
+    given variables (all of them by default)."""
     terms = {}
     for _ in range(k):
-        var = rng.choice(ctx.variables())
+        var = rng.choice(shifted or ctx.variables())
         exps = tuple(rng.randrange(b) if rng.random() < 0.4 else 0 for b in ctx.bounds)
         key = (var, rng.randrange(ctx.level_bound(var)), sum(exps), exps)
         terms[key] = rng.randrange(1, ctx.p)
@@ -346,6 +347,51 @@ def test_flat_matches_nested_reference(rnd, p):
         f = AlgebraElement(c, {DpMonomial(k[3]): v for k, v in E.terms.items()})
         assert D.apply(f) == nested_apply(c, ND, f)
         assert D.lmul(f) == from_nested(c, {k: f * g for k, g in ND.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 5]))
+def test_p_power_visits_only_shifted_variables(rnd, p):
+    # S = 2 gives every x-variable a level-1 shift, so the triangular
+    # elimination runs; D shifts only a random subset of the variables, so
+    # p_power skips the others, and its support products carry binomials
+    rng = random.Random(rnd.randint(0, 2**32))
+    ctx = DpContext(ParameterTuple.constant(p, 2, 1), 2)
+    shifted = rng.sample(ctx.variables(), rng.randint(1, len(ctx.variables())))
+    D = random_terms(ctx, rng, rng.randint(1, 6), shifted)
+    assert p_power(D) == from_nested(ctx, nested_p_power(ctx, nested(D)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_p_power_of_zero_and_bare_shifts(p):
+    ctx = DpContext(ParameterTuple.constant(p, 2, 1), 2)
+    zero = Derivation.zero(ctx)
+    assert p_power(zero) == zero == from_nested(ctx, nested_p_power(ctx, {}))
+    for var in ctx.variables():
+        for level in range(ctx.level_bound(var)):
+            D = Derivation.shift(ctx, var, level)
+            # (∂^{p^m})^p = ∂^{p^{m+1}}, which vanishes at the level bound
+            top = level + 1 == ctx.level_bound(var)
+            expected = zero if top else Derivation.shift(ctx, var, level + 1)
+            assert p_power(D) == expected == from_nested(ctx, nested_p_power(ctx, nested(D)))
+
+
+def test_weight_is_the_largest_term_weight():
+    ctx = make_ctx(depth=3)
+    names = var_by_name(ctx)
+    assert Derivation.zero(ctx).weight() is None
+    v0, v1, u1 = pivot(ctx, "v", 0), pivot(ctx, "v", 1), pivot(ctx, "u", 1)
+    assert (v0.weight(), v1.weight(), u1.weight()) == (1, 3, 3)
+    assert (v0 + v1).weight() == (v1 + v0).weight() == 3
+    assert (v0 + u1 - v1).weight() == 3
+    # ∂_{x1} weighs the grade sum of x1, 2 + 1; t_{y0}·∂_{x0} weighs 1 − 1
+    x1 = Derivation.shift(ctx, names["x1"])
+    y0 = AlgebraElement.monomial(ctx, {names["y0"]: 1})
+    bent = Derivation.shift(ctx, names["x0"]).lmul(y0)
+    assert bent.weight() == 0
+    assert (bent + x1).weight() == x1.weight() == 3
+    with pytest.raises(ValueError, match="not homogeneous"):
+        (bent + x1).multidegree()
 
 
 # ---------------------------------------------------------------------------

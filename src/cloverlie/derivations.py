@@ -163,14 +163,13 @@ class Derivation(LinearCombination):
     def weight(self) -> int | None:
         """Largest weight of a term; None when zero.
 
-        A term t^{(e)}·∂_a^{p^m} weighs p^m·W[a] − Σ e_k·W[k], where W[k] is
-        the grade sum of variable k; for a homogeneous derivation this is
-        the sum of its multidegree.
+        A term t^{(e)}·∂_a^{p^m} weighs p^m·W[a] − Σ e_k·W[k], where W is
+        ``ctx.grade_sums``; for a homogeneous derivation this is the sum of
+        its multidegree.
         """
         if not self.terms:
             return None
-        p = self.ctx.p
-        W = [sum(grade) for grade in self.ctx.grades]
+        p, W = self.ctx.p, self.ctx.grade_sums
         return max(
             p**level * W[3 * g + a] - sum(map(operator.mul, exps, W))
             for (g, a), level, _deg, exps in self.terms

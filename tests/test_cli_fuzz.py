@@ -14,11 +14,13 @@ with too few entries, a tower closure above the closure limit), and, as
 their entries run from -1 to 2, some valid rules.  Valid arguments may
 still combine into an input that is out of range (a closure above the
 closure limit, a tower entry too large to materialize); those exit 2 as
-well.
+well.  Since 15 draws reach few of the fixed invalid values, each of them
+is also refused once on its own, with every other argument valid.
 """
 
 import contextlib
 import io
+import re
 import time
 
 import pytest
@@ -34,7 +36,8 @@ from cloverlie.closure import MAX_NIL_SAMPLES
 TIME_BOUND = 30
 
 PRIMES = (2, 3, 5)
-NON_PRIMES = st.sampled_from((0, 1, -3, 4, 9))
+NON_PRIME_VALUES = (0, 1, -3, 4, 9)
+NON_PRIMES = st.sampled_from(NON_PRIME_VALUES)
 P = (st.sampled_from(PRIMES), NON_PRIMES)
 SMALL_P = (st.sampled_from((2, 3)), NON_PRIMES)
 
@@ -64,24 +67,22 @@ EXPLICIT = _joined(ENTRY, 12, 12).map("explicit:{}".format)
 SHORT_EXPLICIT = _joined(ENTRY, 1, 3).map("explicit:{}".format)
 POWER_LAW = st.sampled_from(("kappa:1/2", "kappa:2/3"))
 ANALYTIC = st.one_of(POWER_LAW, st.just("qkappa:1,1"))
-INVALID_RULE = _rules(
-    st.integers(-1, 2),
-    (
-        "kappa:0",
-        "kappa:3/2",
-        "kappa:1/0",
-        "qkappa:0,1",
-        "constant:1000000000000,1",
-        "periodic:2,1;1000000000000,1",
-        "explicit:1,1;100000000000,1",
-        "constant:1",
-        "bogus:1,1",
-        "",
-        # valid rules whose second entry is too large to materialize
-        "qkappa:2,1",
-        "qkappa:3,1/2",
-    ),
+INVALID_RULE_VALUES = (
+    "kappa:0",
+    "kappa:3/2",
+    "kappa:1/0",
+    "qkappa:0,1",
+    "constant:1000000000000,1",
+    "periodic:2,1;1000000000000,1",
+    "explicit:1,1;100000000000,1",
+    "constant:1",
+    "bogus:1,1",
+    "",
+    # valid rules whose second entry is too large to materialize
+    "qkappa:2,1",
+    "qkappa:3,1/2",
 )
+INVALID_RULE = _rules(st.integers(-1, 2), INVALID_RULE_VALUES)
 RULE = (st.one_of(REPEATING, EXPLICIT, ANALYTIC), st.one_of(INVALID_RULE, SHORT_EXPLICIT))
 # a qkappa closure at depth 3 is far above the closure limit
 CLOSURE_RULE = (
@@ -91,6 +92,7 @@ CLOSURE_RULE = (
 DEPTH = (st.integers(2, 3), st.integers(-1, 1))
 WEIGHT = (st.integers(1, 1000), st.integers(-1, 0))
 HUGE_WEIGHT = st.integers(6, 60).map(lambda k: 10**k)
+INVALID_SAMPLES = (MAX_NIL_SAMPLES + 1, 10**11)
 
 
 @st.composite
@@ -156,7 +158,7 @@ COMMANDS = {
     "nil": _argv(
         "nil", _flag("--p", SMALL_P), _flag("--tuple", CLOSURE_RULE), _flag("--depth", DEPTH),
         _flag("--samples", (st.integers(1, 5), st.one_of(
-            st.integers(-1, 0), st.sampled_from((MAX_NIL_SAMPLES + 1, 10**11))))),
+            st.integers(-1, 0), st.sampled_from(INVALID_SAMPLES)))),
         _flag("--seed", (st.integers(0, 9), None)),
     ),
     "bounds": _argv("bounds", _flag("--p", P), BOUNDS_RUN),
@@ -184,14 +186,17 @@ def tables(tmp_path_factory):
     return root
 
 
+BROKEN_TABLES = ("empty", "header-only", "malformed-row")
+INVALID_LEVELS = ("-1", "x")
+
+
 def _fit(root):
-    broken = ("empty", "header-only", "malformed-row")
     path = (
         st.just(str(root / "valid.csv")),
         st.one_of(st.just("no-such-table.csv"),
-                  st.sampled_from(broken).map(lambda n: str(root / f"{n}.csv"))),
+                  st.sampled_from(BROKEN_TABLES).map(lambda n: str(root / f"{n}.csv"))),
     )
-    level = (st.sampled_from(("gk", "0", "1", "2")), st.sampled_from(("-1", "x")))
+    level = (st.sampled_from(("gk", "0", "1", "2")), st.sampled_from(INVALID_LEVELS))
     return _argv("fit", _flag("--in", path), _flag("--level", level))
 
 
@@ -243,3 +248,66 @@ def test_nil_above_sample_cap_is_refused():
         assert main(argv) == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error: samples must be in")
+
+
+# One valid invocation per command form; each refusal below changes one
+# argument of it to a fixed invalid value of the pools above, which the
+# derandomized draws reach seldom or never.
+VALID_ARGV = {
+    "growth": ["growth", "--p", "2", "--tuple", "constant:1,1", "--max-weight", "10",
+               "--format", "csv"],
+    "basis": ["basis", "--p", "2", "--tuple", "constant:1,1", "--depth", "3", "--check"],
+    "gk": ["gk", "--p", "2", "--tuple", "constant:1,1"],
+    "gk-SR": ["gk", "--p", "2", "--S", "1", "--R", "1"],
+    "gk-scan": ["gk", "--p", "2", "--scan", "--max", "3"],
+    "nil": ["nil", "--p", "2", "--tuple", "constant:1,1", "--depth", "3", "--samples", "3",
+            "--seed", "1"],
+    "bounds": ["bounds", "--p", "2", "--tuple", "constant:1,1", "--max-weight", "10"],
+    "bounds-analytic": ["bounds", "--p", "2", "--tuple", "kappa:1/2", "--max-weight", "10"],
+    "fit": ["fit", "--in", "valid.csv", "--level", "gk"],
+}
+RULE_FORMS = ("growth", "basis", "gk", "nil", "bounds")
+REFUSALS = [
+    *((form, "--p", v) for form in VALID_ARGV if form != "fit" for v in NON_PRIME_VALUES),
+    *((form, "--tuple", rule) for form in RULE_FORMS for rule in INVALID_RULE_VALUES),
+    ("growth", "--format", "xml"),
+    *(("growth", "--max-weight", w) for w in (-1, 0)),
+    *(("basis", "--depth", d) for d in (-1, 0, 1, 2)),
+    *(("nil", "--depth", d) for d in (-1, 0, 1)),
+    *(("nil", "--samples", n) for n in (-1, *INVALID_SAMPLES)),
+    *(("gk-SR", flag, v) for flag in ("--S", "--R") for v in (-1, 0)),
+    *(("gk-scan", "--max", v) for v in (-1, 0)),
+    *(("bounds", "--max-weight", w) for w in (-1, 0, 10**6, 10**60)),
+    *(("bounds-analytic", "--max-weight", w) for w in (-1, 0)),
+    *(("fit", "--level", level) for level in INVALID_LEVELS),
+    *(("fit", "--in", f"{name}.csv") for name in ("no-such-table", *BROKEN_TABLES)),
+]
+
+
+def _valid_argv(form, tables):
+    argv = list(VALID_ARGV[form])
+    if form == "fit":
+        argv[argv.index("--in") + 1] = str(tables / "valid.csv")
+    return argv
+
+
+@pytest.mark.parametrize("form", sorted(VALID_ARGV))
+def test_cli_valid_forms_pass(form, tables):
+    argv = _valid_argv(form, tables)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize(
+    "form, flag, value", REFUSALS, ids=[f"{f}{flag}={v}" for f, flag, v in REFUSALS]
+)
+def test_cli_refuses_each_fixed_invalid_value(form, flag, value, tables):
+    argv = _valid_argv(form, tables)
+    argv[argv.index(flag) + 1] = str(tables / value if flag == "--in" else value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, (argv, out.getvalue())
+    assert "Traceback" not in err.getvalue()
+    # argparse prefixes its own refusals with the program and command name
+    assert re.search(r"^(cloverlie \w+: )?error: ", err.getvalue(), re.M), err.getvalue()

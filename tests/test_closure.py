@@ -583,6 +583,112 @@ def test_sampled_chains_p3():
     assert any(r.status == "nil" for r in results)
 
 
+def _sampler_draws(tup, depth, samples, seed, max_terms):
+    """The (basis index, coefficient) picks of each sample, drawn in the
+    sampler's order: pool, term count, indices, then one coefficient each."""
+    basis = _standard_closure(tup, depth)
+    cap, p = basis.cap, tup.p
+    rng = random.Random(seed)
+    budgets = [max(1, cap // (p * p)), max(1, cap // p), cap]
+    weights = [sum(md) for md, _D in basis.vectors]
+    pools = {b: [i for i, w in enumerate(weights) if w <= b] for b in budgets}
+    draws = []
+    for _ in range(samples):
+        pool = pools[rng.choices(budgets, weights=[6, 3, 1], k=1)[0]]
+        k = rng.randint(1, max_terms)
+        picks = [rng.choice(pool) for _ in range(min(k, len(pool)))]
+        draws.append([(i, rng.randrange(1, p)) for i in picks])
+    return basis, draws
+
+
+def _per_sample_nil_chains(tup, depth, samples, seed, max_terms):
+    """Oracle: each sample built by chained scaled additions and pushed
+    through ``nil_index`` on its own."""
+    basis, draws = _sampler_draws(tup, depth, samples, seed, max_terms)
+    results = []
+    for picks in draws:
+        e = Derivation.zero(basis.ctx)
+        for i, c in picks:
+            e = e + basis.vectors[i][1].scale(c)
+        results.append(nil_index(e, basis))
+    return results
+
+
+def _folded(picks, p):
+    """The coefficient vector of a sample's picks, zero entries dropped."""
+    coeffs = {}
+    for i, c in picks:
+        coeffs[i] = (coeffs.get(i, 0) + c) % p
+    return frozenset((i, c) for i, c in coeffs.items() if c)
+
+
+NIL_MEMO_CASES = [
+    (TUP2, 4),
+    (TUP3, 3),
+    (ParameterTuple.constant(5, 1, 1), 2),
+    (ParameterTuple.from_spec(2, "periodic:1,1;2,1"), 4),
+]
+NIL_MEMO_IDS = ["p2", "p3", "p5", "p2-periodic"]
+
+
+@pytest.mark.parametrize("max_terms", [1, 5, 8])
+@pytest.mark.parametrize("seed", [1, 7, 20260815])
+@pytest.mark.parametrize("tup, depth", NIL_MEMO_CASES, ids=NIL_MEMO_IDS)
+def test_sampled_chains_match_per_sample_oracle(tup, depth, seed, max_terms):
+    got = sample_nil_chains(tup, depth, 60, seed=seed, max_terms=max_terms)
+    assert got == _per_sample_nil_chains(tup, depth, 60, seed, max_terms)
+
+
+@pytest.mark.parametrize("tup, depth", NIL_MEMO_CASES, ids=NIL_MEMO_IDS)
+def test_sampled_chains_index_each_coefficient_vector_once(tup, depth, monkeypatch):
+    _basis, draws = _sampler_draws(tup, depth, 200, 3, 8)
+    distinct = {_folded(picks, tup.p) for picks in draws}
+    calls = []
+
+    def counting(e, basis):
+        calls.append(frozenset(e.terms.items()))
+        return nil_index(e, basis)
+
+    monkeypatch.setattr(closure, "nil_index", counting)
+    sample_nil_chains(tup, depth, 200, seed=3, max_terms=8)
+    assert len(calls) == len(distinct) < 200
+    assert len(set(calls)) == len(calls)
+
+
+def test_sampled_chains_fold_cancelling_coefficients():
+    # at p = 2 a basis vector drawn twice cancels, and an element can
+    # vanish outright; both fold to the vector the oracle sums to
+    _basis, draws = _sampler_draws(TUP2, 4, 200, 3, 8)
+    folded = [_folded(picks, 2) for picks in draws]
+    assert any(len(f) < len({i for i, _c in picks}) for f, picks in zip(folded, draws))
+    assert frozenset() in folded
+    got = sample_nil_chains(TUP2, 4, 200, seed=3, max_terms=8)
+    assert got == _per_sample_nil_chains(TUP2, 4, 200, 3, 8)
+    assert got[folded.index(frozenset())] == closure.NilResult("nil", 0, 2, ())
+
+
+def _zero_power(D):
+    return Derivation.zero(D.ctx)
+
+
+def _power_of_odd_term_counts(D):
+    # a fault that depends on the element: even term counts vanish at once
+    return p_power(D) if len(D.terms) % 2 else Derivation.zero(D.ctx)
+
+
+@pytest.mark.parametrize("fault", [_zero_power, _power_of_odd_term_counts])
+@pytest.mark.parametrize("tup, depth", NIL_MEMO_CASES[:2], ids=NIL_MEMO_IDS[:2])
+def test_sampled_chains_keep_a_faulty_p_power_visible(tup, depth, fault, monkeypatch):
+    # a p-power that returns its input would never leave nil_index's loop
+    # for an in-zone element; these faults end every chain
+    truth = sample_nil_chains(tup, depth, 120, seed=5, max_terms=8)
+    monkeypatch.setattr(closure, "p_power", fault)
+    got = sample_nil_chains(tup, depth, 120, seed=5, max_terms=8)
+    oracle = _per_sample_nil_chains(tup, depth, 120, 5, 8)
+    assert [(r.status, r.k) for r in got] == [(r.status, r.k) for r in oracle]
+    assert got == oracle != truth
+
+
 # ---------------------------------------------------------------------------
 # self-similarity: the weight-(>= 1) part decomposes along the first block
 

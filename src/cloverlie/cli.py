@@ -128,8 +128,10 @@ def _cmd_basis(args) -> int:
     tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
     if not args.check:
         bound = tup.trusted_weight_bound(args.depth)
+        # built first, so that a refused table leaves stdout empty
+        table = _dense_table(tup, bound)
         print(f"trusted weight bound at depth {args.depth}: {bound}")
-        sys.stdout.write(_dense_table(tup, bound).to_csv())
+        sys.stdout.write(table.to_csv())
         return 0
     reports = [
         verify_basis_theorem(tup, args.depth),

@@ -721,39 +721,65 @@ class NilResult:
         return self.p**self.k if self.status == "nil" else None
 
 
-def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
-    """Iterate the p-th power map inside the trusted zone.
+def _nil_chain(x, p: int, cap: int, weights, power) -> NilResult:
+    """The chain loop of ``nil_index`` and ``sample_nil_chains``, for x in
+    either representation: ``weights(x)`` is the (least, largest) weight of
+    x, or None when x is zero, and ``power(x)`` is x^{[p]}.
 
-    Returns nil with the least exponent k such that the p^k-th power
-    vanishes, when that happens while every intermediate power stays within
-    the trusted cap; otherwise inconclusive.  Never claims non-nil.
+    Every weight of the algebra is at least 1, and a true p-th power has
+    least weight at least p times that of its argument, so the chain
+    leaves the zone within a few steps; a power that breaks this raises
+    RuntimeError instead of looping.
     """
-    if e.ctx != basis.ctx:
-        raise ContextMismatchError("context mismatch")
-    if not basis.member(e.graded_components()):
-        raise ValueError("element outside algebra")
-    p = e.ctx.p
-    cap = basis.cap
-    cur = e
     k = 0
-    weights = []
-    while (wt := cur.weight()) is not None:
-        weights.append(wt)
+    chain = []
+    span = weights(x)
+    while span is not None:
+        least, wt = span
+        chain.append(wt)
         if p * wt > cap:
             return NilResult(
                 "inconclusive",
                 k,
                 p,
-                tuple(weights),
+                tuple(chain),
                 witness=f"next power would leave trusted zone ({p * wt} > {cap})",
             )
-        cur = p_power(cur)
+        x = power(x)
         k += 1
-    return NilResult("nil", k, p, tuple(weights))
+        span = weights(x)
+        if span is not None and span[0] < p * least:
+            raise RuntimeError(
+                f"p-th power of least weight {span[0]} below {p} times {least}, "
+                f"the least weight of its argument"
+            )
+    return NilResult("nil", k, p, tuple(chain))
+
+
+def _weight_range(D: Derivation) -> tuple[int, int] | None:
+    """The least and largest weight of D's graded parts; None when zero."""
+    sums = [sum(md) for md in D.graded_components()]
+    return (min(sums), max(sums)) if sums else None
+
+
+def nil_index(e: Derivation, basis: GradedBasis) -> NilResult:
+    """Iterate the p-th power map inside the trusted zone.
+
+    Returns nil with the least exponent k such that the p^k-th power
+    vanishes, when that happens while every intermediate power stays within
+    the trusted cap; otherwise inconclusive.  Never claims non-nil.  Each
+    power is taken by ``p_power`` on the derivation itself; one whose least
+    weight is below p times that of its argument raises RuntimeError.
+    """
+    if e.ctx != basis.ctx:
+        raise ContextMismatchError("context mismatch")
+    if not basis.member(e.graded_components()):
+        raise ValueError("element outside algebra")
+    return _nil_chain(e, e.ctx.p, basis.cap, _weight_range, p_power)
 
 
 # Largest sample count sample_nil_chains accepts: at p=2 depth 5 that many
-# take about 20 s with max_terms 5 and 37 s with 8 on a 2-vCPU x86-64 VM.
+# take about 2 s with max_terms 5 and 3 s with 8 on a 2-vCPU x86-64 VM.
 MAX_NIL_SAMPLES = 100_000
 
 
@@ -773,14 +799,24 @@ def sample_nil_chains(
     the one the verification suites share for this (tuple, depth); there is
     no parameter to pass another basis.  A negative sample count or a
     max_terms below 1 raises ValueError, and so does a sample count above
-    MAX_NIL_SAMPLES, because every result is kept.  Samples that fold to
-    the same coefficient vector share one ``nil_index`` result, within
-    this call only.
+    MAX_NIL_SAMPLES, because every result is kept.
+
+    Each sample is folded into its coefficient vector {basis index: c mod
+    p}, zero entries dropped, and its chain runs in those coordinates: the
+    p-th powers come from Jacobson's formula over the brackets and p-th
+    powers of the basis vectors (``coordinates.StructureConstants``), each
+    taken once per call.  Samples that fold to the same vector share one
+    result, and the results equal those of ``nil_index`` on the same
+    elements.
     """
     if not 0 <= samples <= MAX_NIL_SAMPLES:
         raise ValueError(f"samples must be in 0..{MAX_NIL_SAMPLES}, got {samples}")
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+    # imported here: coordinates imports this module, and commands that
+    # never sample need not compile it
+    from .coordinates import StructureConstants
+
     basis = _standard_closure(tup, depth)
     cap = basis.cap
     rng = random.Random(seed)
@@ -793,6 +829,7 @@ def sample_nil_chains(
     # keys in base `base` names the coefficient vector exactly
     base = len(basis.vectors) * p
     seen: dict[int, NilResult] = {}
+    consts = StructureConstants(basis)
     results = []
     for _ in range(samples):
         pool = pools[rng.choices(budgets, weights=weightsq, k=1)[0]]
@@ -807,19 +844,9 @@ def sample_nil_chains(
             key = key * base + i * p + c
         res = seen.get(key)
         if res is None:
-            res = seen[key] = nil_index(_combination(basis, coeffs), basis)
+            res = seen[key] = _nil_chain(coeffs, p, cap, consts.weight_range, consts.p_power)
         results.append(res)
     return results
-
-
-def _combination(basis: GradedBasis, coeffs: dict[int, int]) -> Derivation:
-    """Σ c·vectors[i] over the {i: c} of coeffs, summed in one dict."""
-    p = basis.ctx.p
-    out: dict[tuple, int] = {}
-    for i, c in coeffs.items():
-        for key, d in basis.vectors[i][1].terms.items():
-            out[key] = (out.get(key, 0) + c * d) % p
-    return Derivation._of(basis.ctx, out)
 
 
 # -- self-similarity --------------------------------------------------------------------

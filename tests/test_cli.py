@@ -126,20 +126,20 @@ def test_growth_rejects_oversized_request(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, out, rows",
+    "argv, rows",
     [
-        (["growth", "--tuple", "constant:1,1", "--max-weight", "200001"], "", 200001),
-        (["bounds", "--tuple", "periodic:1,1;2,1", "--max-weight", "200001"], "", 200001),
-        (["basis", "--tuple", "constant:1,1", "--depth", "14"],
-         "trusted weight bound at depth 14: 531441\n", 531441),
+        (["growth", "--tuple", "constant:1,1", "--max-weight", "200001"], 200001),
+        (["bounds", "--tuple", "periodic:1,1;2,1", "--max-weight", "200001"], 200001),
+        (["basis", "--tuple", "constant:1,1", "--depth", "14"], 531441),
     ],
     ids=["growth", "bounds", "basis"],
 )
-def test_dense_table_refusal_names_the_row_limit(capsys, argv, out, rows):
-    # no command takes checkpoint weights, so the message offers none
+def test_dense_table_refusal_names_the_row_limit(capsys, argv, rows):
+    # no command takes checkpoint weights, so the message offers none, and
+    # every command refuses before it prints anything
     code, got_out, err = run(capsys, argv[0], "--p", "2", *argv[1:])
     assert code == 2
-    assert got_out == out
+    assert got_out == ""
     assert err == f"error: table too large: {rows} rows exceed the limit of 200000\n"
 
 

@@ -158,7 +158,7 @@ COMMANDS = {
     "nil": _argv(
         "nil", _flag("--p", SMALL_P), _flag("--tuple", CLOSURE_RULE), _flag("--depth", DEPTH),
         _flag("--samples", (st.integers(1, 5), st.one_of(
-            st.integers(-1, 0), st.sampled_from(INVALID_SAMPLES)))),
+            st.integers(max_value=-1), st.sampled_from(INVALID_SAMPLES)))),
         _flag("--seed", (st.integers(0, 9), None)),
     ),
     "bounds": _argv("bounds", _flag("--p", P), BOUNDS_RUN),

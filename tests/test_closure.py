@@ -1,9 +1,11 @@
 """Bracket/power closure: basis dimensions, gradings, nil chains, recursion."""
 
+import contextlib
 import gc
 import hashlib
 import json
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -32,6 +34,7 @@ from cloverlie import (
 from cloverlie import closure, derivations
 from cloverlie.cli import main
 from cloverlie.closure import CheckRecord, _Echelon, _standard_closure, _standard_generators
+from cloverlie.coordinates import StructureConstants
 from cloverlie.derivations import pivot_power
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
@@ -605,13 +608,15 @@ def _per_sample_nil_chains(tup, depth, samples, seed, max_terms):
     """Oracle: each sample built by chained scaled additions and pushed
     through ``nil_index`` on its own."""
     basis, draws = _sampler_draws(tup, depth, samples, seed, max_terms)
-    results = []
-    for picks in draws:
-        e = Derivation.zero(basis.ctx)
-        for i, c in picks:
-            e = e + basis.vectors[i][1].scale(c)
-        results.append(nil_index(e, basis))
-    return results
+    return [nil_index(_combination(basis, picks), basis) for picks in draws]
+
+
+def _combination(basis, picks):
+    """Σ c·vectors[i] over the (i, c) pairs of picks, by chained additions."""
+    e = Derivation.zero(basis.ctx)
+    for i, c in picks:
+        e = e + basis.vectors[i][1].scale(c)
+    return e
 
 
 def _folded(picks, p):
@@ -627,8 +632,9 @@ NIL_MEMO_CASES = [
     (TUP3, 3),
     (ParameterTuple.constant(5, 1, 1), 2),
     (ParameterTuple.from_spec(2, "periodic:1,1;2,1"), 4),
+    (ParameterTuple.constant(5, 1, 1), 3),
 ]
-NIL_MEMO_IDS = ["p2", "p3", "p5", "p2-periodic"]
+NIL_MEMO_IDS = ["p2", "p3", "p5", "p2-periodic", "p5-d3"]
 
 
 @pytest.mark.parametrize("max_terms", [1, 5, 8])
@@ -641,18 +647,20 @@ def test_sampled_chains_match_per_sample_oracle(tup, depth, seed, max_terms):
 
 @pytest.mark.parametrize("tup, depth", NIL_MEMO_CASES, ids=NIL_MEMO_IDS)
 def test_sampled_chains_index_each_coefficient_vector_once(tup, depth, monkeypatch):
+    # one chain per distinct coefficient vector, run on that vector itself
     _basis, draws = _sampler_draws(tup, depth, 200, 3, 8)
     distinct = {_folded(picks, tup.p) for picks in draws}
     calls = []
+    chain = closure._nil_chain
 
-    def counting(e, basis):
-        calls.append(frozenset(e.terms.items()))
-        return nil_index(e, basis)
+    def counting(x, *args):
+        calls.append(frozenset(x.items()))
+        return chain(x, *args)
 
-    monkeypatch.setattr(closure, "nil_index", counting)
+    monkeypatch.setattr(closure, "_nil_chain", counting)
     sample_nil_chains(tup, depth, 200, seed=3, max_terms=8)
     assert len(calls) == len(distinct) < 200
-    assert len(set(calls)) == len(calls)
+    assert set(calls) == distinct
 
 
 def test_sampled_chains_fold_cancelling_coefficients():
@@ -667,6 +675,22 @@ def test_sampled_chains_fold_cancelling_coefficients():
     assert got[folded.index(frozenset())] == closure.NilResult("nil", 0, 2, ())
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds`` seconds."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _zero_power(D):
     return Derivation.zero(D.ctx)
 
@@ -676,17 +700,97 @@ def _power_of_odd_term_counts(D):
     return p_power(D) if len(D.terms) % 2 else Derivation.zero(D.ctx)
 
 
-@pytest.mark.parametrize("fault", [_zero_power, _power_of_odd_term_counts])
+def _identity_power(D):
+    return D
+
+
+@pytest.mark.parametrize("fault", [_zero_power, _power_of_odd_term_counts, _identity_power])
 @pytest.mark.parametrize("tup, depth", NIL_MEMO_CASES[:2], ids=NIL_MEMO_IDS[:2])
 def test_sampled_chains_keep_a_faulty_p_power_visible(tup, depth, fault, monkeypatch):
-    # a p-power that returns its input would never leave nil_index's loop
-    # for an in-zone element; these faults end every chain
+    # the sampler takes p-th powers of in-zone basis vectors only, so a
+    # fault shows exactly when it changes one of those: the results change
+    # or it raises, and it never hangs.  At p = 3 every such vector with an
+    # even term count has p-th power zero, so there the odd-count fault is
+    # the true p-th power on every input the sampler uses.
+    basis = _standard_closure(tup, depth)
+    faithful = all(
+        fault(D) == p_power(D) for md, D in basis.vectors if tup.p * sum(md) <= basis.cap
+    )
     truth = sample_nil_chains(tup, depth, 120, seed=5, max_terms=8)
     monkeypatch.setattr(closure, "p_power", fault)
-    got = sample_nil_chains(tup, depth, 120, seed=5, max_terms=8)
-    oracle = _per_sample_nil_chains(tup, depth, 120, 5, 8)
-    assert [(r.status, r.k) for r in got] == [(r.status, r.k) for r in oracle]
-    assert got == oracle != truth
+    with _within(20):
+        try:
+            got = sample_nil_chains(tup, depth, 120, seed=5, max_terms=8)
+        except RuntimeError:
+            assert not faithful
+            return
+    assert (got == truth) == faithful
+
+
+def test_identity_p_power_raises_in_both_paths(monkeypatch, capsys):
+    # a p-power that returns its input would keep the chain inside the zone
+    # for ever; the shared closure is built before the patch
+    basis = _standard_closure(TUP2, 4)
+    monkeypatch.setattr(closure, "p_power", _identity_power)
+    argv = ["nil", "--p", "2", "--tuple", "constant:1,1", "--depth", "4",
+            "--samples", "20", "--seed", "1"]
+    with _within(20):
+        with pytest.raises(RuntimeError, match="least weight 1 below 2 times 1"):
+            nil_index(pivot(basis.ctx, "v", 0), basis)
+        with pytest.raises(RuntimeError, match="p-th power of basis vector [0-9]+ does not lie"):
+            sample_nil_chains(TUP2, 4, 20, seed=1)
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal check failed: the p-th power of basis vector")
+
+
+def test_wrong_weight_bracket_raises(monkeypatch):
+    # [v_i, v_j] must lie at the sum of the two multidegrees
+    _standard_closure(TUP2, 4)
+    monkeypatch.setattr(closure, "bracket", lambda D, E: D + E)
+    with _within(20), pytest.raises(RuntimeError, match="bracket of basis vectors .* weight"):
+        sample_nil_chains(TUP2, 4, 60, seed=1, max_terms=8)
+
+
+def test_sampler_refuses_a_closure_missing_a_vector(monkeypatch):
+    # the copy lacks one vector of weight 2, a bracket of two generators, so
+    # a chain that reaches it finds a product outside the span
+    basis = _standard_closure(TUP2, 4)
+    drop = next(k for k, (md, _D) in enumerate(basis.vectors) if sum(md) == 2)
+    copy = closure.GradedBasis(basis.ctx, basis.cap)
+    copy.vectors = basis.vectors[:drop] + basis.vectors[drop + 1:]
+    monkeypatch.setattr(closure, "_standard_closure", lambda tup, depth: copy)
+    with _within(20), pytest.raises(RuntimeError, match="does not lie in the span"):
+        sample_nil_chains(TUP2, 4, 200, seed=3, max_terms=8)
+
+
+COORDINATE_CASES = [(TUP2, 4), (TUP3, 3), (ParameterTuple.constant(5, 1, 1), 3)]
+
+
+@pytest.mark.parametrize("tup, depth", COORDINATE_CASES, ids=["p2", "p3", "p5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coordinate_products_match_derivations(tup, depth, data):
+    basis = _standard_closure(tup, depth)
+    p = tup.p
+    consts = StructureConstants(basis)
+    pool = [k for k, (md, _D) in enumerate(basis.vectors) if p * sum(md) <= basis.cap]
+    # two or more vectors, so that Jacobson's cross terms take part
+    element = st.dictionaries(
+        st.sampled_from(pool), st.integers(1, p - 1), min_size=2, max_size=6
+    )
+    x, y = data.draw(element), data.draw(element)
+    X, Y = _combination(basis, x.items()), _combination(basis, y.items())
+
+    def coordinates(D):
+        out = {}
+        for md, part in D.graded_components().items():
+            out.update(consts.coordinates(part.terms, md))
+        return out
+
+    assert consts.p_power(x) == coordinates(p_power(X))
+    assert consts.bracket(x, y) == coordinates(closure.bracket(X, Y))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .closure import (
     verify_basis_theorem,
     verify_grading,
 )
-from .monomials import TABLE_ROW_CAP, GrowthTable, growth_table
+from .monomials import GrowthTable, growth_table
 from .params import ParameterTuple
 
 # Characters of table text encoded and written per call by ``growth --out``.
@@ -99,19 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _dense_table(tup: ParameterTuple, max_weight: int) -> GrowthTable:
-    """The growth table of every weight 1..max_weight; the CLI takes no
-    checkpoint weights, so its refusal names the row limit only."""
-    if max_weight > TABLE_ROW_CAP:
-        raise ValueError(
-            f"table too large: {max_weight} rows exceed the limit of {TABLE_ROW_CAP}"
-        )
-    return growth_table(tup, max_weight)
-
-
 def _cmd_growth(args) -> int:
     tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
-    table = _dense_table(tup, args.max_weight)
+    table = growth_table(tup, args.max_weight)
     text = table.to_csv() if args.format == "csv" else table.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -129,7 +119,7 @@ def _cmd_basis(args) -> int:
     if not args.check:
         bound = tup.trusted_weight_bound(args.depth)
         # built first, so that a refused table leaves stdout empty
-        table = _dense_table(tup, bound)
+        table = growth_table(tup, bound)
         print(f"trusted weight bound at depth {args.depth}: {bound}")
         sys.stdout.write(table.to_csv())
         return 0
@@ -219,7 +209,7 @@ def _cmd_bounds(args) -> int:
     tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
     # the rule picks the suite: only constant and periodic rules have a period
     if tup.period is not None:
-        table = _dense_table(tup, args.max_weight)
+        table = growth_table(tup, args.max_weight)
         rep = check_growth_sandwich(tup, table)
     else:
         weights = _quasilinear_checkpoints(tup, args.max_weight)

@@ -818,18 +818,17 @@ def sample_nil_chains(
     from .coordinates import StructureConstants
 
     basis = _standard_closure(tup, depth)
+    consts = StructureConstants(basis)
     cap = basis.cap
     rng = random.Random(seed)
     p = tup.p
     budgets = [max(1, cap // (p * p)), max(1, cap // p), cap]
     weightsq = [6, 3, 1]
-    weights = [sum(md) for md, _D in basis.vectors]
-    pools = {b: [i for i, w in enumerate(weights) if w <= b] for b in budgets}
+    pools = {b: [i for i, w in enumerate(consts.weights) if w <= b] for b in budgets}
     # each key i·p + c is below `base` and above 0, so packing the sorted
     # keys in base `base` names the coefficient vector exactly
     base = len(basis.vectors) * p
     seen: dict[int, NilResult] = {}
-    consts = StructureConstants(basis)
     results = []
     for _ in range(samples):
         pool = pools[rng.choices(budgets, weights=weightsq, k=1)[0]]

@@ -20,15 +20,14 @@ pair of terms.  The p-fold composition D∘…∘D is again of this shape and is
 reconstructed from its values on the generator monomials t_a^{(p^j)} by a
 triangular elimination.  D sends t_a^{(p^j)} to zero unless it has a shift
 on a, so only the shifted variables are visited, and the composition stops
-as soon as the image is zero.  ``_shifts`` carries each coefficient
-monomial with its support (the positions of its nonzero exponents), so a
-product in ``_act`` tests bound and binomial on those positions only.
+as soon as the image is zero.  Every product of two basis monomials in this
+module, in ``bracket``, ``lmul``, ``apply`` and ``p_power`` alike, goes
+through ``dpalgebra._mul_exps``.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .dpalgebra import (
     AXES,
@@ -38,7 +37,6 @@ from .dpalgebra import (
     LinearCombination,
     _mul_exps,
     _render_poly,
-    binom_mod_p,
 )
 
 __all__ = [
@@ -110,21 +108,9 @@ class Derivation(LinearCombination):
 
     # -- operator action -----------------------------------------------------
 
-    def _shifts(self) -> list:
-        """The terms grouped by shift: (index, p^level, [(exps, support, c), ...]),
-        where ``support`` lists the positions of the nonzero entries of exps."""
-        p, positions = self.ctx.p, range(len(self.ctx.bounds))
-        groups: dict[tuple[int, int], list] = {}
-        for ((g, a), level, _deg, exps), c in self.terms.items():
-            # a list: thousands of short tuples freed per nil run would stay
-            # on the interpreter's tuple free lists (about 1 MiB of peak RSS)
-            support = list(itertools.compress(positions, exps))
-            groups.setdefault((3 * g + a, p**level), []).append((exps, support, c))
-        return [(i, step, monos) for (i, step), monos in groups.items()]
-
     def apply(self, f: AlgebraElement) -> AlgebraElement:
         self._check(f)
-        image = _act(self.ctx, self._shifts(), {m.exps: c for m, c in f.terms.items()})
+        image = _act(self, {m.exps: c for m, c in f.terms.items()})
         return AlgebraElement._of(self.ctx, {DpMonomial(e): c for e, c in image.items()})
 
     # -- inspection ----------------------------------------------------------
@@ -161,19 +147,8 @@ class Derivation(LinearCombination):
         return next(iter(parts))
 
     def weight(self) -> int | None:
-        """Largest weight of a term; None when zero.
-
-        A term t^{(e)}·∂_a^{p^m} weighs p^m·W[a] − Σ e_k·W[k], where W is
-        ``ctx.grade_sums``; for a homogeneous derivation this is the sum of
-        its multidegree.
-        """
-        if not self.terms:
-            return None
-        p, W = self.ctx.p, self.ctx.grade_sums
-        return max(
-            p**level * W[3 * g + a] - sum(map(operator.mul, exps, W))
-            for (g, a), level, _deg, exps in self.terms
-        )
+        """Largest weight of a term, the sum of its multidegree; None when zero."""
+        return max(map(sum, self.graded_components()), default=None)
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms by (variable, level), then graded-lex by monomial."""
@@ -286,32 +261,19 @@ def ad_power(D: Derivation, E: Derivation, k: int) -> Derivation:
     return acc
 
 
-def _act(ctx: DpContext, shifts: list, poly: dict) -> dict:
-    """D(f) for D given by its ``_shifts`` and f as {exps: c}, in the same form.
-
-    Each product t^{(ea)}·t^{(eb)} is tested on the support of ea only: the
-    other positions neither overflow nor carry a binomial.
-    """
-    p, bounds = ctx.p, ctx.bounds
+def _act(D: Derivation, poly: dict) -> dict:
+    """D(f) for f given as {exps: c}, in the same form, one term of D at a time:
+    f_A·∂_a^{p^m} lowers the exponent of a by p^m and multiplies by f_A."""
+    p, bounds = D.ctx.p, D.ctx.bounds
     out: dict[tuple, int] = {}
-    for i, step, monos in shifts:
+    for ((g, a), level, _deg, ea), ca in D.terms.items():
+        i, step = 3 * g + a, p**level
         for eb, cb in poly.items():
             if eb[i] >= step:
-                eb = eb[:i] + (eb[i] - step,) + eb[i + 1:]
-                for ea, support, ca in monos:
-                    b = ca * cb
-                    for k in support:
-                        y = eb[k]
-                        if y:
-                            s = ea[k] + y
-                            if s >= bounds[k]:
-                                break
-                            b = b * binom_mod_p(s, y, p) % p
-                            if not b:
-                                break
-                    else:
-                        e = tuple(map(operator.add, ea, eb))
-                        out[e] = (out.get(e, 0) + b) % p
+                prod = _mul_exps(ea, eb[:i] + (eb[i] - step,) + eb[i + 1:], bounds, p)
+                if prod:
+                    b, e = prod
+                    out[e] = (out.get(e, 0) + b * ca * cb) % p
     return {e: c for e, c in out.items() if c}
 
 
@@ -326,33 +288,24 @@ def p_power(D: Derivation) -> Derivation:
     """
     ctx = D.ctx
     p, bounds = ctx.p, ctx.bounds
-    shifts = D._shifts()
-    shifted = {i for i, _step, _monos in shifts}
-
-    def compose_p(poly: dict) -> dict:
-        for _ in range(p):
-            if not poly:
-                break
-            poly = _act(ctx, shifts, poly)
-        return poly
-
+    zeros = (0,) * len(bounds)
     terms = {}
-    for var in ctx.variables():
+    for var in sorted({key[0] for key in D.terms}):
         a = ctx.index(var)
-        if a not in shifted:
-            continue
         recovered: list[dict] = []
         for j in range(ctx.levels[a]):
-            unit = [0] * len(bounds)
-            unit[a] = p**j
-            f = compose_p({tuple(unit): 1})
+            f = {zeros[:a] + (p**j,) + zeros[a + 1:]: 1}
+            for _ in range(p):
+                if not f:
+                    break
+                f = _act(D, f)
             for i, fi in enumerate(recovered):
-                step = p**j - p**i
-                for e, c in fi.items():
-                    s = e[a] + step
-                    if s < bounds[a]:
-                        key = e[:a] + (s,) + e[a + 1:]
-                        f[key] = (f.get(key, 0) - binom_mod_p(s, step, p) * c) % p
+                step = zeros[:a] + (p**j - p**i,) + zeros[a + 1:]
+                for ei, c in fi.items():
+                    prod = _mul_exps(ei, step, bounds, p)
+                    if prod:
+                        b, e = prod
+                        f[e] = (f.get(e, 0) - b * c) % p
             f = {e: c for e, c in f.items() if c}
             recovered.append(f)
             for e, c in f.items():

@@ -105,12 +105,6 @@ class DpContext:
             for kind in "vwu"
         )
 
-    @functools.cached_property
-    def grade_sums(self) -> tuple[int, ...]:
-        """Weight (sum of the multidegree) of every variable's first-order
-        shift, in canonical order."""
-        return tuple(sum(grade) for grade in self.grades)
-
     def index(self, var: tuple[int, int]) -> int:
         """Position 3g + a of variable (g, a) in exponent vectors."""
         g, a = var

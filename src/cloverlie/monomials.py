@@ -305,14 +305,13 @@ class _TailEngine:
         return self.ker_prefix(i, s) - self.ker_prefix(i, s - 1)
 
     def below(self, k: int, t: int) -> int:
-        """Number of tails over generations 0..k-1 with deficiency <= t."""
-        if t < 0:
-            return 0
-        if k == 0:
-            return 1
+        """Number of tails over generations 0..k-1 with deficiency <= t,
+        for k >= 1 and 0 <= t < dmax(k).
+
+        Outside that range the count is 0 (t < 0) or every tail (k = 0 or
+        t >= dmax(k)); ``at_least`` and the recursion below never ask there.
+        """
         self._extend(k)
-        if t >= self._dmax[k]:
-            return self._totals[k]
         key = (k, t)
         cached = self._memo.get(key)
         if cached is not None:
@@ -334,11 +333,9 @@ class _TailEngine:
         return acc
 
     def at_least(self, k: int, req: int) -> int:
-        """Number of tails over generations 0..k-1 with deficiency >= req."""
-        if req <= 0:
-            return self.total(k)
-        if req > self.dmax(k):
-            return 0
+        """Number of tails over generations 0..k-1 with deficiency >= req,
+        for k >= 1 and 1 <= req <= dmax(k): ``_count_headed`` asks only for
+        head sums whose tails are neither all kept nor all dropped."""
         return self.total(k) - self.below(k, req - 1)
 
     def saturated(self, family: str, m: int) -> tuple[int, int, int]:
@@ -625,11 +622,10 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
                 if not c:
                     continue
                 hw = (s + 2) * W
-                # weight = hw - D for deficiency D in [max(0, hw - M), dmax]
+                # weight = hw - D for deficiency D in [max(0, hw - M), dmax];
+                # s <= s_hi keeps hw - M <= dmax, so the range is never empty
                 d_lo = max(0, hw - M)
                 d_hi = len(dist) - 1
-                if d_lo > d_hi:
-                    continue
                 seg = dist[d_lo : d_hi + 1][::-1]  # weights hw-d_hi .. hw-d_lo
                 arr[hw - d_hi : hw - d_lo + 1] += c * seg
     for fam in _POWER_KIND:
@@ -859,33 +855,28 @@ def growth_table(
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     if weights is None:
-        if max_weight > TABLE_ROW_CAP:
-            raise ValueError(
-                f"table too large: {max_weight} rows exceed cap {TABLE_ROW_CAP}; "
-                "pass explicit checkpoint weights"
-            )
         ms = range(1, max_weight + 1)
-        dense = _dense_exact_rows(tup, max_weight)
-        if dense is not None:
-            # The int64 totals are safe by the same M^3 bound as _DENSE_ROW_CAP;
-            # cumulative sums of nonnegative counts never decrease.
-            cols = _dense_columns(dense)
-            # Cross-check every pivot-ladder weight below max_weight, then
-            # the last row, against the big-integer engine.
-            for n in itertools.count():
-                m = min(tup.pivot_weight(n), max_weight)
-                if tuple(col[m - 1] for col in cols[:4]) != _columns(count_descriptors(tup, m)):
-                    raise RuntimeError("counting engines disagree")
-                if m == max_weight:
-                    break
-            return GrowthTable._of_columns(tup.p, tup.spec, (ms, *cols))
     else:
         ms = sorted(set(int(w) for w in weights))
         if any(w < 1 for w in ms):
             raise ValueError("checkpoint weights must be >= 1")
         if ms and ms[-1] > max_weight:
             raise ValueError("checkpoint weight beyond max_weight")
-        if len(ms) > TABLE_ROW_CAP:
-            raise ValueError(f"table too large: {len(ms)} rows exceed cap {TABLE_ROW_CAP}")
+    if len(ms) > TABLE_ROW_CAP:
+        raise ValueError(f"table too large: {len(ms)} rows exceed the limit of {TABLE_ROW_CAP}")
+    dense = _dense_exact_rows(tup, max_weight) if weights is None else None
+    if dense is not None:
+        # The int64 totals are safe by the same M^3 bound as _DENSE_ROW_CAP;
+        # cumulative sums of nonnegative counts never decrease.
+        cols = _dense_columns(dense)
+        # Cross-check every pivot-ladder weight below max_weight, then
+        # the last row, against the big-integer engine.
+        for n in itertools.count():
+            m = min(tup.pivot_weight(n), max_weight)
+            if tuple(col[m - 1] for col in cols[:4]) != _columns(count_descriptors(tup, m)):
+                raise RuntimeError("counting engines disagree")
+            if m == max_weight:
+                break
+        return GrowthTable._of_columns(tup.p, tup.spec, (ms, *cols))
     counted = (_columns(count_descriptors(tup, m)) for m in ms)
     return GrowthTable(tup.p, tup.spec, ((m, *c, sum(c)) for m, c in zip(ms, counted)))

@@ -264,6 +264,15 @@ def test_gk_scan_refuses_oversized_grid(capsys):
     ]
 
 
+def test_gk_scan_refuses_malformed_interval(capsys):
+    code, out, err = run(
+        capsys, "gk", "--scan", "--p", "2", "--max", "4", "--interval", "1.1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: interval must look like 1.1,2.9; got '1.1'"]
+
+
 # ---------------------------------------------------------------------------
 # nil
 
@@ -528,16 +537,20 @@ def test_bounds_tower_entry_too_large_is_config_error(argv):
         (["basis", "--tuple", "kappa:1/2", "--depth", "5", "--check"], 127111),
         (["nil", "--tuple", "constant:1,1", "--depth", "7", "--samples", "1",
           "--seed", "1"], 16908),
+        (["basis", "--tuple", "constant:1,1", "--depth", "7", "--check"], 16908),
     ],
-    ids=["basis-kappa-depth5", "nil-depth7"],
+    ids=["basis-kappa-depth5", "nil-depth7", "basis-depth7"],
 )
 def test_oversized_closure_is_config_error(argv, dim):
     # refused from the descriptor count before any bracket is taken
     proc = run_subprocess(argv, timeout=30)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line.startswith(f"error: closure too large: {dim} basis elements")
+    depth = argv[argv.index("--depth") + 1]
+    assert proc.stderr.splitlines() == [
+        f"error: closure too large: {dim} basis elements at depth {depth} "
+        "exceed the limit 10000"
+    ]
     assert proc.stdout == ""
 
 

@@ -1,5 +1,6 @@
 """Basis-monomial bookkeeping: counting, enumeration, and growth tables."""
 
+import contextlib
 import csv
 import gc
 import hashlib
@@ -232,6 +233,22 @@ def test_dense_rows_cross_checked_at_pivot_weights(monkeypatch):
         growth_table(TUP2, 100)
 
 
+def test_growth_table_falls_back_to_the_big_integer_engine():
+    # one length-2 family total already exceeds the int64 guard, so the
+    # dense path declines and every row is counted exactly
+    tup = ParameterTuple.constant(2, 14, 14)
+    M = 16385
+    assert monomials._dense_exact_rows(tup, M) is None
+    t = growth_table(tup, M)
+    assert len(t.rows) == M
+    for n in itertools.count():
+        m = min(tup.pivot_weight(n), M)
+        counts = count_descriptors(tup, m)
+        assert t.rows[m - 1] == (m, *monomials._columns(counts), sum(counts.values()))
+        if m == M:
+            break
+
+
 def test_engine_cache_bounded_and_thread_safe():
     monomials._engine.cache_clear()
     for S in range(1, 21):
@@ -286,6 +303,54 @@ def _outcome(fn, *args):
         return fn(*args)
     except TupleRuleError as exc:
         return f"TupleRuleError: {exc}"
+
+
+@contextlib.contextmanager
+def _checked_tail_engine():
+    """Fresh engines whose ``below`` and ``at_least`` assert their
+    preconditions on every call; yields the number of calls of each."""
+    below, at_least = monomials._TailEngine.below, monomials._TailEngine.at_least
+    calls = {"below": 0, "at_least": 0}
+
+    def checked_below(self, k, t):
+        assert k >= 1 and 0 <= t < self.dmax(k), ("below", k, t)
+        calls["below"] += 1
+        return below(self, k, t)
+
+    def checked_at_least(self, k, req):
+        assert k >= 1 and 1 <= req <= self.dmax(k), ("at_least", k, req)
+        calls["at_least"] += 1
+        return at_least(self, k, req)
+
+    monomials._engine.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monomials._TailEngine, "below", checked_below)
+        mp.setattr(monomials._TailEngine, "at_least", checked_at_least)
+        yield calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5)),
+    pairs=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=6),
+    m=st.integers(0, 3000) | st.integers(0, 10**9),
+    length=st.none() | st.integers(0, 7),
+)
+def test_tail_engine_asked_only_inside_its_preconditions(p, pairs, m, length):
+    # the tail counts are defined only for k >= 1, 0 <= t < dmax(k) and
+    # 1 <= req <= dmax(k); every call the counting core makes stays there
+    tup = ParameterTuple.explicit(p, pairs)
+    monomials._engine.cache_clear()
+    expect = _outcome(count_descriptors, tup, m, None, length)
+    with _checked_tail_engine():
+        assert _outcome(count_descriptors, tup, m, None, length) == expect
+
+
+def test_tail_engine_precondition_check_sees_calls():
+    # the property above is not vacuous: a count that cuts tails asks both
+    with _checked_tail_engine() as calls:
+        assert sum(count_descriptors(TUP2, 9).values()) == 53
+    assert calls["below"] and calls["at_least"]
 
 
 def test_prefix_table_matches_per_length_sum():

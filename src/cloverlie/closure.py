@@ -230,14 +230,13 @@ class _PassRange:
 
 
 class _Echelon:
-    """Reduced echelon rows over F_p keyed by their leading coordinate.
+    """Echelon rows over F_p keyed by their leading coordinate.
 
     A row is a dict in the derivation layout {(var, level, degree, exps): c},
     so ``Derivation.terms`` is a row as it stands and the lead is its least
-    key.  Every row has lead coefficient 1, and no row holds another row's
-    lead.  Arguments are copied; ``insert`` reduces the stored rows in
-    place.  Both ``reduce`` and ``insert`` change a row only through
-    ``_subtract``.
+    key.  Every row has lead coefficient 1, and no two rows share a lead; a
+    row holds no lead of the rows inserted before it.  Arguments are copied,
+    and a row is written once, by ``insert``, and never changed.
     """
 
     __slots__ = ("p", "rows")
@@ -246,37 +245,31 @@ class _Echelon:
         self.p = p
         self.rows: dict[tuple, dict] = {}
 
-    def _subtract(self, row: dict, c: int, other: dict) -> None:
-        """row -= c·other (mod p) in place, dropping zero coordinates."""
-        p = self.p
-        for k, oc in other.items():
-            nc = (row.get(k, 0) - c * oc) % p
-            if nc:
-                row[k] = nc
-            else:
-                row.pop(k, None)
-
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        while hits := [k for k in vec if k in self.rows]:
-            k = min(hits)
-            self._subtract(vec, vec[k], self.rows[k])
-        return vec
+    def reduce(self, vec: dict) -> tuple[dict, dict]:
+        """(rest, {lead: c}) with vec = Σ c·rows[lead] + rest, no lead in rest.
+        The least lead left is cleared first and a row adds only keys above
+        its lead, so each lead is cleared once; rest depends only on the span."""
+        p, rows = self.p, self.rows
+        vec, used = dict(vec), {}
+        while hits := [k for k in vec if k in rows]:
+            lead = min(hits)
+            c = used[lead] = vec[lead]
+            for k, rc in rows[lead].items():
+                if nc := (vec.get(k, 0) - c * rc) % p:
+                    vec[k] = nc
+                else:
+                    vec.pop(k, None)
+        return vec, used
 
     def insert(self, vec: dict):
-        """Reduce and insert; returns the new reduced row or None if dependent."""
-        p = self.p
-        vec = self.reduce(vec)
+        """Reduce and insert; returns the new row, or None if dependent."""
+        vec = self.reduce(vec)[0]
         if not vec:
             return None
         lead = min(vec)
-        inv = pow(vec[lead], p - 2, p)
-        vec = {k: (c * inv) % p for k, c in vec.items()}
-        for row in self.rows.values():
-            if c := row.get(lead):
-                self._subtract(row, c, vec)
-        self.rows[lead] = vec
-        return vec
+        inv = pow(vec[lead], self.p - 2, self.p)
+        row = self.rows[lead] = {k: c * inv % self.p for k, c in vec.items()}
+        return row
 
     @property
     def rank(self) -> int:
@@ -296,7 +289,7 @@ class GradedBasis:
         self.vectors: list[tuple[tuple[int, int, int], Derivation]] = []
 
     def insert(self, md, D: Derivation) -> dict | None:
-        """Insert D at multidegree md: the new reduced row, or None if dependent."""
+        """Insert D at multidegree md: the new row, kept unchanged, or None if dependent."""
         ech = self.components.get(md)
         if ech is None:
             ech = self.components[md] = _Echelon(self.ctx.p)
@@ -316,7 +309,7 @@ class GradedBasis:
         {multidegree: Derivation} dict of ``graded_components()``."""
         for md, part in parts.items():
             ech = self.components.get(md)
-            if ech is None or ech.reduce(part.terms):
+            if ech is None or ech.reduce(part.terms)[0]:
                 return False
         return True
 
@@ -339,8 +332,9 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
     while the two weights sum to at most the cap, and then takes the p-th
     power of vectors[j] if p times its weight stays within the cap.  Every
     nonzero result is split into graded parts; each part within the cap that
-    the basis accepts is appended to ``vectors`` as a copy of its new
-    reduced row.  The walk keeps no state beyond the basis and the index.
+    the basis accepts is appended to ``vectors`` as its new echelon row,
+    which no later insert changes.  The walk keeps no state beyond the basis
+    and the index.
     The cap must not exceed the trusted weight bound of the generators'
     context.
 
@@ -367,7 +361,6 @@ def restricted_closure(generators: list[Derivation], weight_cap: int) -> GradedB
     def admit(D: Derivation):
         for md, part in D.graded_components().items():
             if sum(md) <= weight_cap and (row := basis.insert(md, part)) is not None:
-                # _of copies the row, which later inserts reduce in place
                 vectors.append((md, Derivation._of(ctx, row)))
 
     for g in generators:

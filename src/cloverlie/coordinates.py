@@ -13,17 +13,15 @@ Jacobson's formula (Jacobson, Trans. AMS 50 (1941); Strade–Farnsteiner,
 where i·s_i(a, b) is the coefficient of λ^{i−1} in ad(λa + b)^{p−1}(a), so
 that only the brackets and the p-th powers v_k^{[p]} of the basis vectors
 are ever taken on derivations.
+
+Each basis vector is the closure's echelon row at its least key, so reducing
+a derivation against the closure's own echelons subtracts c times the row of
+vector k exactly when its coordinate k is c.
 """
 
 from __future__ import annotations
 
-import math
-
 from . import closure
-
-# first item of a tag key (_TAG, k): it sorts after every variable (g, a),
-# so a tag sorts after every term key
-_TAG = (math.inf,)
 
 
 class StructureConstants:
@@ -33,25 +31,21 @@ class StructureConstants:
     on ``basis.vectors``, by ``closure.bracket`` and ``closure.p_power``
     (looked up at each call, so a replaced function is the one used), and
     kept for the life of the object as tuples of (index, c) pairs.  They are
-    converted to coordinates by one closure._Echelon per multidegree,
-    built when first needed from the vectors of that multidegree, each
-    extended by a tag coordinate (_TAG, k) = 1: reducing a derivation
-    leaves its negated coordinates on the tags.  A constant outside the
-    span of the basis vectors of its multidegree, md_i + md_j or p·md_k,
-    raises RuntimeError; so does a missing vector or a constant of the
-    wrong weight.  The basis itself is only read.
+    converted to coordinates by reducing them against ``basis.components``,
+    whose rows are the vectors as ``restricted_closure`` appended them; the
+    multiple of each row subtracted is the coordinate of the vector with its
+    lead.  A constant outside the span of the basis vectors of its
+    multidegree, md_i + md_j or p·md_k, raises RuntimeError; so does a
+    constant of the wrong weight.  The basis itself is only read.
     """
 
-    __slots__ = ("basis", "p", "weights", "_by_md", "_echelons", "_brackets", "_powers")
+    __slots__ = ("basis", "p", "weights", "_index", "_brackets", "_powers")
 
     def __init__(self, basis: closure.GradedBasis):
         self.basis = basis
         self.p = basis.ctx.p
         self.weights = [sum(md) for md, _D in basis.vectors]
-        self._by_md: dict[tuple[int, int, int], list[int]] = {}
-        for k, (md, _D) in enumerate(basis.vectors):
-            self._by_md.setdefault(md, []).append(k)
-        self._echelons: dict[tuple[int, int, int], closure._Echelon] = {}
+        self._index = {min(D.terms): k for k, (_md, D) in enumerate(basis.vectors)}  # lead -> k
         self._brackets: dict[int, dict[int, tuple]] = {}  # [v_i, v_j] at [i][j], i < j
         self._powers: list[tuple | None] = [None] * len(basis.vectors)
 
@@ -59,21 +53,14 @@ class StructureConstants:
         """The coordinates of derivation terms of multidegree md, as a dict;
         RuntimeError, naming them ``what``, unless they lie in the span of
         the basis vectors of md."""
-        p = self.p
-        ech = self._echelons.get(md)
-        if ech is None:
-            ech = self._echelons[md] = closure._Echelon(p)
-            for k in self._by_md.get(md, ()):
-                ech.insert({**self.basis.vectors[k][1].terms, (_TAG, k): 1})
-        out = {}
-        for key, c in ech.reduce(terms).items():
-            if key[0] is not _TAG:
-                raise RuntimeError(
-                    f"{what} does not lie in the span of the basis vectors of "
-                    f"multidegree {md}, weight {sum(md)}"
-                )
-            out[key[1]] = -c % p
-        return out
+        ech = self.basis.components.get(md)
+        rest, used = ech.reduce(terms) if ech is not None else (terms, {})
+        if rest:
+            raise RuntimeError(
+                f"{what} does not lie in the span of the basis vectors of "
+                f"multidegree {md}, weight {sum(md)}"
+            )
+        return {self._index[lead]: c for lead, c in used.items()}
 
     def _constant(self, D, md: tuple[int, int, int], what: str) -> tuple:
         return tuple(self.coordinates(D.terms, md, what).items()) if D.terms else ()

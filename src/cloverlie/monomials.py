@@ -16,9 +16,10 @@ Each family fact has one definition that every reader calls: ``_GENERATORS``
 (pivot kinds of the length-0 generators), ``_head_box`` (head box P × Q),
 ``_excluded_heads`` (the corner cell ``first`` leaves out; ``_head_count``
 counts the rest), ``_power_bound`` (S or R, the power families' exponent
-bound), ``_tail_caps`` (largest exponents of a tail cell; its length is the
-arity), ``_box_prefix`` (cells of a box with exponent sum <= s) and
-``_COLUMN`` / ``_columns`` (growth-table columns of the five families).
+bound), ``_length_total`` (all descriptors of one length), ``_tail_caps``
+(largest exponents of a tail cell; its length is the arity), ``_box_prefix``
+(cells of a box with exponent sum <= s) and ``_COLUMN`` / ``_columns``
+(growth-table columns of the five families).
 
 Weights live in the mixed-radix ladder W_{i+1} = (p^{S_i} + p^{R_i} - 1) W_i:
 every variable of generation i contributes weight W_i per unit exponent, a
@@ -353,15 +354,12 @@ class _TailEngine:
                 n = len(least)
                 W = tup.pivot_weight(n - 1)
                 if family in _POWER_KIND:
-                    full = _power_bound(family, tup.materialize(n - 1))
                     top = W * _power_bound(family, tup.powers(n - 1))
                 else:
-                    P, Q = _head_box(tup, family, n)
-                    top = (P + Q) * W
-                    full = (P * Q - len(_excluded_heads(family, P, Q))) * self.total(n - 1)
+                    top = sum(_head_box(tup, family, n)) * W
                 least.append(lw)
                 sat.append(max(sat[-1], top))
-                prefix.append(prefix[-1] + full)
+                prefix.append(prefix[-1] + _length_total(self, family, n))
             n0 = bisect.bisect_right(sat, m) - 1
             return n0, bisect.bisect_right(least, m) - 1, prefix[n0]
 
@@ -402,6 +400,18 @@ def _power_bound(family: str, pair: tuple[int, int]) -> int:
     exponent index of a power family: S for ``power_v``, R for ``power_w``
     and ``power_u``."""
     return pair[family != "power_v"]
+
+
+def _length_total(eng: _TailEngine, family: str, n: int) -> int:
+    """Descriptors of ``family`` at exact length n, eng the engine of its column:
+    the generators at n = 0, then S or R for the power families and
+    (P·Q − |excluded|)·T_{n−1} for the headed families (T: tails' ``total``)."""
+    if n == 0:
+        return len(_GENERATORS.get(family, ""))
+    if family in _POWER_KIND:
+        return _power_bound(family, eng.tup.materialize(n - 1))
+    P, Q = _head_box(eng.tup, family, n)
+    return (P * Q - len(_excluded_heads(family, P, Q))) * eng.total(n - 1)
 
 
 def _least_weight(tup: ParameterTuple, family: str, n: int, prev: int) -> int:
@@ -496,7 +506,7 @@ def count_descriptors(
             acc, lengths = 0, [length]
         for n in lengths:
             if n == 0:
-                acc += len(_GENERATORS.get(f, "")) if max_weight >= 1 else 0
+                acc += _length_total(eng, f, 0) if max_weight >= 1 else 0
             elif f in _POWER_KIND:
                 acc += len(_power_weights(tup, f, n, max_weight))
             else:
@@ -509,13 +519,7 @@ def family_totals(tup: ParameterTuple, length: int) -> dict[str, int]:
     """Total descriptor counts at one exact length, with no weight bound."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length == 0:
-        return {f: len(_GENERATORS.get(f, "")) for f in FAMILIES}
-    out = {}
-    for f in ("first", "second"):
-        P, Q = _head_box(tup, f, length)
-        out[f] = (P * Q - len(_excluded_heads(f, P, Q))) * _engine(tup, f).total(length - 1)
-    return out | {f: _power_bound(f, tup.materialize(length - 1)) for f in _POWER_KIND}
+    return {f: _length_total(_engine(tup, _COLUMN[f]), f, length) for f in FAMILIES}
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -556,7 +560,7 @@ def enumerate_descriptors(
             raise ValueError(f"unknown family {f!r}")
     found: list[tuple[int, MonomialDescriptor]] = []
     for f in fams:
-        for j in range(len(_GENERATORS.get(f, ""))):
+        for j in range(_length_total(_engine(tup, _COLUMN[f]), f, 0)):
             found.append((1, MonomialDescriptor(f, 0, (j,))))
         for n, W in _lengths(tup, f, max_weight):
             if f in _POWER_KIND:
@@ -579,9 +583,9 @@ def enumerate_descriptors(
 # -- growth tables ----------------------------------------------------------------
 
 
-# Row cap keeps every int64 intermediate safe: cumulative counts grow no
-# faster than a small multiple of M^3, so 6e5^3 * 8 stays below 2^63.
-_DENSE_ROW_CAP = 600_000
+# Longest deficiency distribution the dense path allocates: 2,400,000 int64
+# entries, 19.2 MB per array.
+_DENSE_DIST_CAP = 2_400_000
 _DENSE_COUNT_GUARD = 1 << 40
 
 
@@ -591,8 +595,6 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
     numpy int64 convolution; only used when every per-length family total
     fits comfortably below 2^40 so no intermediate can overflow.
     """
-    if M > _DENSE_ROW_CAP:
-        return None
     out = {f: np.zeros(M + 1, dtype=np.int64) for f in FAMILIES}
     if M >= 1:
         for fam, kinds in _GENERATORS.items():
@@ -603,7 +605,7 @@ def _dense_exact_rows(tup: ParameterTuple, M: int):
         dist = np.ones(1, dtype=np.int64)  # deficiency distribution, k = 0
         for n, W in _lengths(tup, fam, M):
             k = n - 1
-            if eng.total(k) > _DENSE_COUNT_GUARD or eng.dmax(k) > 4 * _DENSE_ROW_CAP:
+            if eng.total(k) > _DENSE_COUNT_GUARD or eng.dmax(k) > _DENSE_DIST_CAP:
                 return None
             if k:
                 # Fold in generation k-1.  Its kernel is supported on multiples
@@ -866,8 +868,9 @@ def growth_table(
         raise ValueError(f"table too large: {len(ms)} rows exceed the limit of {TABLE_ROW_CAP}")
     dense = _dense_exact_rows(tup, max_weight) if weights is None else None
     if dense is not None:
-        # The int64 totals are safe by the same M^3 bound as _DENSE_ROW_CAP;
-        # cumulative sums of nonnegative counts never decrease.
+        # int64 is safe: cumulative counts grow no faster than a small multiple
+        # of M^3, and M <= TABLE_ROW_CAP gives 200,000^3 * 8 < 2^63.
+        # Cumulative sums of nonnegative counts never decrease.
         cols = _dense_columns(dense)
         # Cross-check every pivot-ladder weight below max_weight, then
         # the last row, against the big-integer engine.

@@ -417,14 +417,26 @@ def test_echelon_matches_dense_elimination(p, raw):
     vectors = [{k: c % p for k, c in v.items() if c % p} for v in raw]
     copies = [dict(v) for v in vectors]
     ech = _Echelon(p)
+    returned = []  # each new row with a copy taken when insert returned it
     for v in vectors:
-        ech.insert(v)
+        if (row := ech.insert(v)) is not None:
+            returned.append((row, dict(row)))
     assert vectors == copies
-    assert ech.rank == _dense_rank(vectors, p, 8)
-    assert all(ech.reduce(v) == {} for v in vectors)
+    assert ech.rank == len(returned) == _dense_rank(vectors, p, 8)
+    # every row is the dict insert returned, unchanged by later inserts
+    assert [id(row) for row in ech.rows.values()] == [id(row) for row, _ in returned]
+    assert all(row == copy for row, copy in returned)
     for lead, row in ech.rows.items():
         assert min(row) == lead and row[lead] == 1
-        assert all(lead not in other for other_lead, other in ech.rows.items() if other_lead != lead)
+    for v in vectors:
+        rest, used = ech.reduce(v)
+        assert rest == {}
+        # the multiples rebuild v from the rows
+        total = {}
+        for lead, c in used.items():
+            for k, rc in ech.rows[lead].items():
+                total[k] = (total.get(k, 0) + c * rc) % p
+        assert {k: c for k, c in total.items() if c} == v
 
 
 def _sha256(text: str) -> str:
@@ -754,12 +766,20 @@ def test_wrong_weight_bracket_raises(monkeypatch):
 
 
 def test_sampler_refuses_a_closure_missing_a_vector(monkeypatch):
-    # the copy lacks one vector of weight 2, a bracket of two generators, so
-    # a chain that reaches it finds a product outside the span
+    # the copy lacks one vector of weight 2, a bracket of two generators, in
+    # its vectors and its echelons alike, so a chain that reaches it finds a
+    # product outside the span
     basis = _standard_closure(TUP2, 4)
     drop = next(k for k, (md, _D) in enumerate(basis.vectors) if sum(md) == 2)
     copy = closure.GradedBasis(basis.ctx, basis.cap)
-    copy.vectors = basis.vectors[:drop] + basis.vectors[drop + 1:]
+    for k, (md, D) in enumerate(basis.vectors):
+        if k != drop:
+            # each vector holds no lead of the vectors before it, so it is
+            # inserted as it stands
+            assert copy.insert(md, D) == D.terms
+            copy.vectors.append((md, D))
+    assert copy.dimension() == len(copy.vectors) == len(basis.vectors) - 1
+    assert not copy.member(dict([basis.vectors[drop]]))
     monkeypatch.setattr(closure, "_standard_closure", lambda tup, depth: copy)
     with _within(20), pytest.raises(RuntimeError, match="does not lie in the span"):
         sample_nil_chains(TUP2, 4, 200, seed=3, max_terms=8)
@@ -791,6 +811,24 @@ def test_coordinate_products_match_derivations(tup, depth, data):
 
     assert consts.p_power(x) == coordinates(p_power(X))
     assert consts.bracket(x, y) == coordinates(closure.bracket(X, Y))
+
+
+@pytest.mark.parametrize("tup, depth", COORDINATE_CASES, ids=["p2", "p3", "p5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coordinates_of_a_combination_are_its_coefficients(tup, depth, data):
+    # every vector is its echelon row, so reducing a combination against the
+    # closure's echelons reads its coefficients back
+    basis = _standard_closure(tup, depth)
+    p = tup.p
+    consts = StructureConstants(basis)
+    x = data.draw(st.dictionaries(
+        st.integers(0, len(basis.vectors) - 1), st.integers(1, p - 1), max_size=8
+    ))
+    got = {}
+    for md, part in _combination(basis, x.items()).graded_components().items():
+        got.update(consts.coordinates(part.terms, md))
+    assert got == x
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,11 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _cmd_gk(args) -> int:
+    constant = args.S is not None or args.R is not None
+    if [args.scan, args.tuple_spec is not None, constant].count(True) != 1 or (
+        constant and None in (args.S, args.R)
+    ):
+        raise ValueError("gk takes exactly one mode: --scan, --tuple, or both --S and --R")
     if args.scan:
         if args.max is None:
             raise ValueError("gk --scan requires --max")
@@ -157,12 +162,10 @@ def _cmd_gk(args) -> int:
             f"{scan.max_gap:.6f}"
         )
         return 0 if scan.all_in_range else 1
-    if args.S is not None and args.R is not None:
+    if constant:
         tup = ParameterTuple.constant(args.p, args.S, args.R)
-    elif args.tuple_spec:
-        tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
     else:
-        raise ValueError("gk requires --S and --R, or --tuple, or --scan")
+        tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
     print(gk_periodic(tup).describe())
     return 0
 

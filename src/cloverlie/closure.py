@@ -229,27 +229,34 @@ class _PassRange:
 # -- echelonized graded basis ------------------------------------------------------
 
 
-class _Echelon:
-    """Echelon rows over F_p keyed by their leading coordinate.
+class GradedBasis:
+    """Echelonized span over F_p, graded by a key: one set of echelon rows
+    per multidegree within the cap.  It holds the closure's basis and the
+    family spans of ``verify_basis_theorem``, whose independence check
+    keeps every element under the one key None.
 
-    A row is a dict in the derivation layout {(var, level, degree, exps): c},
-    so ``Derivation.terms`` is a row as it stands and the lead is its least
-    key.  Every row has lead coefficient 1, and no two rows share a lead; a
-    row holds no lead of the rows inserted before it.  Arguments are copied,
-    and a row is written once, by ``insert``, and never changed.
+    ``rows[md]`` maps each lead to its row, a dict in the derivation layout
+    {(var, level, degree, exps): c}, so ``Derivation.terms`` is a row as it
+    stands and the lead is its least key.  Every row has lead coefficient 1,
+    and no two rows of a key share a lead; a row holds no lead of the rows
+    inserted before it.  Arguments are copied, and a row is written once,
+    by ``insert``, and never changed.  ``member`` is the one membership
+    test; ``restricted_closure`` appends its (multidegree, vector) pairs to
+    ``vectors`` in insertion order.
     """
 
-    __slots__ = ("p", "rows")
+    def __init__(self, ctx: DpContext, cap: int):
+        self.ctx = ctx
+        self.cap = cap
+        self.rows: dict[tuple[int, int, int] | None, dict[tuple, dict]] = {}
+        self.vectors: list[tuple[tuple[int, int, int], Derivation]] = []
 
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[tuple, dict] = {}
-
-    def reduce(self, vec: dict) -> tuple[dict, dict]:
-        """(rest, {lead: c}) with vec = Σ c·rows[lead] + rest, no lead in rest.
-        The least lead left is cleared first and a row adds only keys above
-        its lead, so each lead is cleared once; rest depends only on the span."""
-        p, rows = self.p, self.rows
+    def reduce(self, md, vec: dict) -> tuple[dict, dict]:
+        """(rest, {lead: c}) with vec = Σ c·rows[md][lead] + rest, no lead in
+        rest.  The least lead left is cleared first and a row adds only keys
+        above its lead, so each lead is cleared once; rest depends only on
+        the span."""
+        p, rows = self.ctx.p, self.rows.get(md, _NO_ROWS)
         vec, used = dict(vec), {}
         while hits := [k for k in vec if k in rows]:
             lead = min(hits)
@@ -261,57 +268,32 @@ class _Echelon:
                     vec.pop(k, None)
         return vec, used
 
-    def insert(self, vec: dict):
-        """Reduce and insert; returns the new row, or None if dependent."""
-        vec = self.reduce(vec)[0]
+    def insert(self, md, D: Derivation) -> dict | None:
+        """Insert D at key md: the new row, kept unchanged, or None if dependent."""
+        vec = self.reduce(md, D.terms)[0]
         if not vec:
             return None
-        lead = min(vec)
-        inv = pow(vec[lead], self.p - 2, self.p)
-        row = self.rows[lead] = {k: c * inv % self.p for k, c in vec.items()}
+        p, lead = self.ctx.p, min(vec)
+        inv = pow(vec[lead], p - 2, p)
+        row = self.rows.setdefault(md, {})[lead] = {k: c * inv % p for k, c in vec.items()}
         return row
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-class GradedBasis:
-    """Echelonized span over F_p, one echelon per multidegree within the cap:
-    the closure's basis and the family spans of ``verify_basis_theorem``.
-    ``member`` is the one membership test; ``restricted_closure`` appends
-    its (multidegree, vector) pairs to ``vectors`` in insertion order."""
-
-    def __init__(self, ctx: DpContext, cap: int):
-        self.ctx = ctx
-        self.cap = cap
-        self.components: dict[tuple[int, int, int], _Echelon] = {}
-        self.vectors: list[tuple[tuple[int, int, int], Derivation]] = []
-
-    def insert(self, md, D: Derivation) -> dict | None:
-        """Insert D at multidegree md: the new row, kept unchanged, or None if dependent."""
-        ech = self.components.get(md)
-        if ech is None:
-            ech = self.components[md] = _Echelon(self.ctx.p)
-        return ech.insert(D.terms)
-
     def dims_by_multidegree(self) -> dict[tuple[int, int, int], int]:
-        return {md: e.rank for md, e in sorted(self.components.items()) if e.rank}
+        return {md: len(rows) for md, rows in sorted(self.rows.items())}
 
     def dims_by_weight(self) -> dict[int, int]:
         return _dims_by_weight(self.dims_by_multidegree())
 
     def dimension(self) -> int:
-        return sum(e.rank for e in self.components.values())
+        return sum(map(len, self.rows.values()))
 
     def member(self, parts: dict) -> bool:
         """Whether every graded part lies in the span; ``parts`` is the
         {multidegree: Derivation} dict of ``graded_components()``."""
-        for md, part in parts.items():
-            ech = self.components.get(md)
-            if ech is None or ech.reduce(part.terms)[0]:
-                return False
-        return True
+        return not any(self.reduce(md, part.terms)[0] for md, part in parts.items())
+
+
+_NO_ROWS: dict = {}  # the rows of a key with no row yet; never written
 
 
 def _dims_by_weight(dims: dict[tuple[int, int, int], int]) -> dict[int, int]:
@@ -429,14 +411,15 @@ def relation_suite(
     top-power collapse onto the next generation, the regeneration brackets
     producing the next generation's pivots, the pairwise brackets of the
     generation's pivots, and the full head grids (iterated ad-actions
-    against their closed forms) for both families.  Each p-power is taken
-    once: the top-power and regeneration checks read the last power of each
-    pivot's ladder.
+    against their closed forms) for both families.  Each p-power and each
+    closed form is taken once: the top-power and regeneration checks read
+    the last power of each pivot's ladder, and the top-power check its last
+    closed form too.
     """
     ctx = DpContext(tup, depth)
     rep = VerificationReport(suite="relations")
     N = depth
-    tops = {}  # (i, kind) -> the ladder's last power, P_i^{[p^top]}
+    tops = {}  # (i, kind) -> the ladder's last power P_i^{[p^top]} and its closed form
     for i in range(base_index, N):
         pair = tup.materialize(i)
         for family, kind in _POWER_KIND.items():
@@ -455,23 +438,15 @@ def relation_suite(
                 if m == top:
                     break
                 cur = p_power(cur)
-            tops[i, kind] = cur
+            tops[i, kind] = cur, rhs
     for i in range(base_index, N - 1):
-        pair = tup.materialize(i)
         PS, PR = tup.powers(i)
         v_i, w_i, u_i = (pivot(ctx, k, i) for k in "vwu")
         v_n, w_n, u_n = (pivot(ctx, k, i + 1) for k in "vwu")
-        for family, kind in _POWER_KIND.items():
-            top = _power_bound(family, pair)
-            lhs = tops[i, kind]
-            rep.check(
-                "power-top",
-                lhs == pivot_power(ctx, kind, i, top),
-                witness=lambda: f"lhs={lhs}",
-                kind=kind,
-                i=i,
-            )
-        vS, wR, uR = (tops[i, k] for k in "vwu")
+        for kind in _POWER_KIND.values():
+            lhs, rhs = tops[i, kind]
+            rep.check("power-top", lhs == rhs, witness=lambda: f"lhs={lhs}", kind=kind, i=i)
+        vS, wR, uR = (tops[i, k][0] for k in "vwu")
         rep.check("regenerate-next", ad_power(w_i, vS, PR - 1) == v_n, kind="v", i=i)
         rep.check("regenerate-next", ad_power(v_i, wR, PS - 1) == w_n, kind="w", i=i)
         rep.check("regenerate-next", ad_power(v_i, uR, PS - 1) == u_n, kind="u", i=i)
@@ -547,7 +522,8 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     first family together with the v/w-power families must span a
     subalgebra, and the second family with the u-power family an ideal.
     Both family spans are GradedBasis values tested with ``member``;
-    independence uses one echelon across all multidegrees.
+    independence inserts every realized element under the one key None, so
+    a dependence between different predicted multidegrees shows too.
     """
     if depth < 3:
         raise ValueError("basis verification requires depth >= 3")
@@ -578,7 +554,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
         )
 
     p = tup.p
-    indep = _Echelon(p)
+    indep = GradedBasis(ctx, cap)  # one key, so dependence across multidegrees shows
     indep_ok = True
     # the spans of the two families, used only for membership
     first_span = GradedBasis(ctx, cap)
@@ -602,7 +578,7 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 f"actual={' + '.join(map(str, sorted(parts))) or None}",
                 descriptor=str(d),
             )
-            if indep.insert(D.terms) is None:
+            if indep.insert(None, D) is None:
                 indep_ok = False
                 rep.check(
                     "realize-independence", False,

@@ -15,7 +15,7 @@ that only the brackets and the p-th powers v_k^{[p]} of the basis vectors
 are ever taken on derivations.
 
 Each basis vector is the closure's echelon row at its least key, so reducing
-a derivation against the closure's own echelons subtracts c times the row of
+a derivation against the closure's own rows subtracts c times the row of
 vector k exactly when its coordinate k is c.
 """
 
@@ -31,12 +31,12 @@ class StructureConstants:
     on ``basis.vectors``, by ``closure.bracket`` and ``closure.p_power``
     (looked up at each call, so a replaced function is the one used), and
     kept for the life of the object as tuples of (index, c) pairs.  They are
-    converted to coordinates by reducing them against ``basis.components``,
-    whose rows are the vectors as ``restricted_closure`` appended them; the
-    multiple of each row subtracted is the coordinate of the vector with its
-    lead.  A constant outside the span of the basis vectors of its
-    multidegree, md_i + md_j or p·md_k, raises RuntimeError; so does a
-    constant of the wrong weight.  The basis itself is only read.
+    converted to coordinates by ``basis.reduce`` over the rows of their
+    multidegree, which are the vectors as ``restricted_closure`` appended
+    them; the multiple of each row subtracted is the coordinate of the
+    vector with its lead.  A constant outside the span of the basis vectors
+    of its multidegree, md_i + md_j or p·md_k, raises RuntimeError; so does
+    a constant of the wrong weight.  The basis itself is only read.
     """
 
     __slots__ = ("basis", "p", "weights", "_index", "_brackets", "_powers")
@@ -53,8 +53,7 @@ class StructureConstants:
         """The coordinates of derivation terms of multidegree md, as a dict;
         RuntimeError, naming them ``what``, unless they lie in the span of
         the basis vectors of md."""
-        ech = self.basis.components.get(md)
-        rest, used = ech.reduce(terms) if ech is not None else (terms, {})
+        rest, used = self.basis.reduce(md, terms)
         if rest:
             raise RuntimeError(
                 f"{what} does not lie in the span of the basis vectors of "

@@ -239,6 +239,25 @@ def test_gk_requires_some_mode(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ("--S", "3", "--tuple", "constant:1,1"),
+        ("--S", "1", "--R", "1", "--tuple", "constant:1,1"),
+        ("--scan", "--max", "4", "--tuple", "constant:1,1"),
+        ("--scan", "--max", "4", "--S", "1", "--R", "1"),
+        ("--scan", "--max", "4", "--R", "1"),
+        ("--S", "1"),
+        ("--R", "1"),
+    ],
+)
+def test_gk_takes_exactly_one_mode(capsys, modes):
+    # a second mode, or half of --S/--R, is refused rather than ignored
+    code, out, err = run(capsys, "gk", "--p", "2", *modes)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gk_scan_requires_max(capsys):
     code, _, err = run(capsys, "gk", "--scan", "--p", "2")
     assert code == 2

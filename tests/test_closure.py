@@ -16,6 +16,7 @@ from cloverlie import (
     Derivation,
     DpContext,
     GrowthTable,
+    MonomialDescriptor,
     ParameterTuple,
     count_descriptors,
     nil_index,
@@ -33,7 +34,7 @@ from cloverlie import (
 )
 from cloverlie import closure, derivations
 from cloverlie.cli import main
-from cloverlie.closure import CheckRecord, _Echelon, _standard_closure, _standard_generators
+from cloverlie.closure import CheckRecord, GradedBasis, _standard_closure, _standard_generators
 from cloverlie.coordinates import StructureConstants
 from cloverlie.derivations import pivot_power
 
@@ -97,6 +98,22 @@ def test_inhomogeneous_realization_is_a_fail(monkeypatch):
     fails = [r for r in rep.failures() if r.check_id == "realize-multidegree"]
     assert any(r.witness.endswith(" + (2, 1, 0)") for r in fails)
     assert all(r.status == "pass" for r in rep.records if r.check_id.startswith("dimension"))
+
+
+def test_independence_sees_dependence_across_multidegrees(monkeypatch):
+    # every power_w descriptor realized as the power_v element of length 1:
+    # the copies sit at other predicted multidegrees than the original, so
+    # an independence check split by multidegree would miss them
+    realize = closure.realize
+    power_v = MonomialDescriptor("power_v", 1, (1,))
+
+    def dup(d, ctx):
+        return realize(power_v, ctx) if d.family == "power_w" else realize(d, ctx)
+
+    monkeypatch.setattr(closure, "realize", dup)
+    rep = verify_basis_theorem(TUP2, 4)
+    independence = [r for r in rep.records if r.check_id == "realize-independence"]
+    assert independence and all(r.status == "fail" for r in independence)
 
 
 def test_membership_fault_fails_every_membership_check(monkeypatch, capsys):
@@ -393,7 +410,7 @@ def test_sandwich_report_retains_one_entry_per_segment():
 
 def _dense_rank(vectors, p, n):
     """Rank over F_p of dict vectors on coordinates 0..n-1, by dense Gaussian
-    elimination: the oracle of _Echelon."""
+    elimination: the oracle of GradedBasis."""
     rows = [[v.get(k, 0) for k in range(n)] for v in vectors]
     rank = 0
     for col in range(n):
@@ -414,27 +431,30 @@ def _dense_rank(vectors, p, n):
     st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, 4), max_size=6), max_size=12),
 )
 def test_echelon_matches_dense_elimination(p, raw):
+    # int coordinates stand in for derivation keys, all under the grading key 0
+    ctx = DpContext(ParameterTuple.constant(p, 1, 1), 2)
     vectors = [{k: c % p for k, c in v.items() if c % p} for v in raw]
     copies = [dict(v) for v in vectors]
-    ech = _Echelon(p)
+    basis = GradedBasis(ctx, 0)
     returned = []  # each new row with a copy taken when insert returned it
     for v in vectors:
-        if (row := ech.insert(v)) is not None:
+        if (row := basis.insert(0, Derivation._of(ctx, v))) is not None:
             returned.append((row, dict(row)))
     assert vectors == copies
-    assert ech.rank == len(returned) == _dense_rank(vectors, p, 8)
+    rows = basis.rows.get(0, {})
+    assert basis.dimension() == len(rows) == len(returned) == _dense_rank(vectors, p, 8)
     # every row is the dict insert returned, unchanged by later inserts
-    assert [id(row) for row in ech.rows.values()] == [id(row) for row, _ in returned]
+    assert [id(row) for row in rows.values()] == [id(row) for row, _ in returned]
     assert all(row == copy for row, copy in returned)
-    for lead, row in ech.rows.items():
+    for lead, row in rows.items():
         assert min(row) == lead and row[lead] == 1
     for v in vectors:
-        rest, used = ech.reduce(v)
+        rest, used = basis.reduce(0, v)
         assert rest == {}
         # the multiples rebuild v from the rows
         total = {}
         for lead, c in used.items():
-            for k, rc in ech.rows[lead].items():
+            for k, rc in rows[lead].items():
                 total[k] = (total.get(k, 0) + c * rc) % p
         assert {k: c for k, c in total.items() if c} == v
 
@@ -767,7 +787,7 @@ def test_wrong_weight_bracket_raises(monkeypatch):
 
 def test_sampler_refuses_a_closure_missing_a_vector(monkeypatch):
     # the copy lacks one vector of weight 2, a bracket of two generators, in
-    # its vectors and its echelons alike, so a chain that reaches it finds a
+    # its vectors and its rows alike, so a chain that reaches it finds a
     # product outside the span
     basis = _standard_closure(TUP2, 4)
     drop = next(k for k, (md, _D) in enumerate(basis.vectors) if sum(md) == 2)

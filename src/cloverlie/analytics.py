@@ -111,7 +111,7 @@ def gk_periodic(tup: ParameterTuple) -> GKReport:
     period, mu, sigma = _period(tup)
     p = tup.p
     if not _in_range(p, mu, sigma):
-        raise ArithmeticError(
+        raise RuntimeError(
             f"certified range check failed: exponent for {tup.spec} "
             "falls outside [1, 3]"
         )
@@ -258,32 +258,44 @@ def _qkappa_tail(tup: ParameterTuple, I: int) -> tuple[Fraction, int] | None:
     """Upper bound for sum_{i>I} p^(1-S_i) under the tower rule, and the
     cofactor p - 1 of its denominator (see ``_kappa_tail``).
 
-    Writes the rule's partial sums as floors of G(n) = exp^(q)(lam*(n+2)).
-    Once the certified conditions (true increments of G at least 3 and
-    growing by a factor >= 2 from index I on) hold, consecutive S values
-    rise by at least 1, giving a geometric tail p^(1-S_{I+1}) * p/(p-1).
+    With G(n) = exp(H(n+2)) and H(t) = exp^(q-1)(lam*t) the rule's partial
+    sums are floor(G(n)) + 1, so S_n lies within 1 of D_n = G(n) - G(n-1)
+    for n >= 2.  H is convex and increasing, so D_{n+1} >= r D_n for n >= I,
+    with r = exp(H(I+2) - H(I+1)), and D_n >= D_{I-1}.  Once (r - 1) D_{I-1}
+    >= 2, S_{n+1} - S_n > D_{n+1} - D_n - 2 >= 0 for n > I: the S values
+    rise past I, and the tail is at most p^(1-S_{I+1}) * p/(p-1).
     """
-    if I < 2:
-        return None
     p = tup.p
     q, kap = tup.params["q"], tup.params["kappa"]
     for prec in (80, 160, 320, 640):
         iv = interval_context(prec)
         inner, inner_next = (tower(iv, p, kap, t, q - 1) for t in (I + 1, I + 2))
-        # increments of the inner tower are nondecreasing (convexity),
-        # so certifying them at index I certifies them beyond it
-        ratio_ok = (inner_next - inner).a > iv.log(2).b
-        delta_prev = iv.exp(inner) - tower(iv, p, kap, I, q)  # G(I-1) - G(I-2)
-        size_ok = delta_prev.a > 3
-        if ratio_ok and size_ok:
+        delta_prev = iv.exp(inner) - tower(iv, p, kap, I, q)  # D_{I-1}
+        if ((iv.exp(inner_next - inner) - 1) * delta_prev).a >= 2:
             return Fraction(p**2, (p - 1) * tup.powers(I + 1)[0]), p - 1
     return None
+
+
+# Largest index I up to which _theta_partial searches for a tail certificate;
+# kappa:4/5 at p = 2 is certified at I = 262,144.
+MAX_TAIL_INDEX = 1 << 19
+
+
+def _product(factors: list[int]) -> int:
+    """The product of factors, multiplied pairwise in rounds, so that only
+    factors of similar size meet (one at a time takes quadratic time)."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fraction, int]:
     """(num, den, T, c): theta's partial product num/den through an index I >= target_index,
     unreduced (den is a power of p), a certified T >= sum_{i>I} p^(1-S_i), T <= 1/2,
-    and a small c such that T's denominator is a power of p times a divisor of c."""
+    and a small c such that T's denominator is a power of p times a divisor of c.
+
+    I doubles from max(target_index, 8 or 3) until the tail is certified;
+    ValueError once it passes MAX_TAIL_INDEX."""
     p = tup.p
     if tup.kind == "kappa":
         tail_fn, base = _kappa_tail, 8
@@ -295,20 +307,17 @@ def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fr
             f"got kind {tup.kind!r}"
         )
     I = max(base, target_index)
-    for _ in range(40):
+    while I <= MAX_TAIL_INDEX:
         found = tail_fn(tup, I)
         if found is not None and found[0] <= Fraction(1, 2):
             break
         I *= 2
     else:
-        raise ArithmeticError("tail certification failed for rule " + tup.spec)
+        raise ValueError(f"tail of rule {tup.spec} not certified up to index {MAX_TAIL_INDEX}")
 
     # prod (1 + p/p^S_i) = prod (p^S_i + p) / prod p^S_i
-    num = den = 1
-    for i in range(I + 1):
-        PS = tup.powers(i)[0]
-        num *= PS + p
-        den *= PS
+    num = _product([tup.powers(i)[0] + p for i in range(I + 1)])
+    den = p ** sum(S for S, _ in tup.pairs(I + 1))
     return num, den, *found
 
 

@@ -75,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--max", type=int, help="grid bound for --scan (S, R <= max)")
     k.add_argument(
         "--interval",
-        default="1.1,2.9",
-        help="target interval a,b for the density gap statistic",
+        help="target interval a,b for the density gap statistic of --scan (default 1.1,2.9)",
     )
 
     n = sub.add_parser("nil", help="seeded p-power chain sampling")
@@ -150,7 +149,7 @@ def _cmd_gk(args) -> int:
     if args.scan:
         if args.max is None:
             raise ValueError("gk --scan requires --max")
-        interval = _parse_interval(args.interval)
+        interval = _parse_interval("1.1,2.9" if args.interval is None else args.interval)
         scan = gk_density_scan(args.p, args.max, args.max, interval)
         print(
             f"grid S,R <= {args.max} at p={args.p}: {len(scan.entries)} exponents "
@@ -162,6 +161,8 @@ def _cmd_gk(args) -> int:
             f"{scan.max_gap:.6f}"
         )
         return 0 if scan.all_in_range else 1
+    if args.max is not None or args.interval is not None:
+        raise ValueError("--max and --interval apply only to gk --scan")
     if constant:
         tup = ParameterTuple.constant(args.p, args.S, args.R)
     else:

@@ -635,8 +635,6 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
 
 def verify_grading(tup: ParameterTuple, depth: int) -> VerificationReport:
     """Brackets and p-powers of graded basis vectors land where predicted."""
-    if depth < 2:
-        raise ValueError("grading verification requires depth >= 2")
     basis = _standard_closure(tup, depth)
     cap = basis.cap
     rep = VerificationReport(suite="grading")
@@ -684,10 +682,6 @@ class NilResult:
     p: int
     chain_weights: tuple[int, ...]  # max weight of e^{[p^j]} for j = 0..
     witness: str = ""
-
-    @property
-    def index(self) -> int | None:
-        return self.p**self.k if self.status == "nil" else None
 
 
 def _nil_chain(x, p: int, cap: int, weights, power) -> NilResult:

@@ -88,24 +88,18 @@ def integer_root_floor(x: int, k: int) -> int:
     if k == 1 or x == 0:
         return x
     t = 1 << (-(-x.bit_length() // k))
+    # from above the root, by AM-GM, each step stays >= the floor and stops there
     while True:
         nt = ((k - 1) * t + x // t ** (k - 1)) // k
         if nt >= t:
             break
         t = nt
-    while t ** k > x:
-        t -= 1
-    while (t + 1) ** k <= x:
-        t += 1
     return t
 
 
 def _floor_rational_power(base: int, expo: Fraction) -> int:
     """floor(base**expo) computed exactly, for base >= 1 and expo >= 0."""
-    if base < 1 or expo < 0:
-        raise ValueError("base must be >= 1 and exponent >= 0")
-    num, den = expo.numerator, expo.denominator
-    return integer_root_floor(base ** num, den)
+    return integer_root_floor(base**expo.numerator, expo.denominator)
 
 
 def _entry(x) -> int:
@@ -350,7 +344,8 @@ class ParameterTuple:
             raise ValueError("generation index must be >= 0")
         with self._lock:
             if len(self._powers) <= n:
-                new = self.pairs(n + 1)[len(self._powers):]
+                self.materialize(n)
+                new = self._pairs[len(self._powers) : n + 1]
                 self._powers.extend((self.p**S, self.p**R) for S, R in new)
             return self._powers[n]
 

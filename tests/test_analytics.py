@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -548,3 +549,61 @@ def test_fit_level_validation():
         estimate_exponent(t, level=-1)
     fit0 = estimate_exponent(t, level=0)
     assert math.isfinite(fit0.beta)
+
+
+# ---------------------------------------------------------------------------
+# tail certificates and their fall-backs
+
+
+def test_power_tail_falls_back_while_its_ratio_test_fails():
+    # kappa = 3/4: D = 3 and S_9 = floor(10^(1/3)) = 2, so the ratio
+    # (4/3)^3 / 2 exceeds 1 at I = 8; the search doubles past it
+    tup = ParameterTuple.kappa(2, "3/4")
+    assert analytics._kappa_tail(tup, 8) is None
+    assert analytics._kappa_tail(tup, 4096)[0] <= Fraction(1, 2)
+    lo, hi = theta_bounds(tup)
+    assert 1 < lo < hi
+
+
+def test_tower_tail_falls_back_until_increments_separate():
+    # q = 1, kappa = 3 at p = 2: r = 2^(2/3) and D_2 = 2^(8/3) - 4, so
+    # (r - 1) D_2 = 1.38... < 2 at I = 3; the certificate holds at I = 6
+    tup = ParameterTuple.qkappa(2, 1, 3)
+    assert analytics._qkappa_tail(tup, 3) is None
+    assert analytics._qkappa_tail(tup, 6) is not None
+
+
+@pytest.mark.parametrize("kappa", ["2", "5/2", "3"])
+def test_tower_tail_certified_for_slow_towers(kappa):
+    # the increment ratio p^(2/kappa) is at most 2 here, and the rule's
+    # entries still rise by at least 1 from some index on, as certified
+    tup = ParameterTuple.qkappa(2, 1, kappa)
+    num, den, tail, _ = analytics._theta_partial(tup, 0)
+    assert 0 < tail <= Fraction(1, 2)
+    S = [s for s, _ in tup.pairs(12)]
+    assert all(b > a for a, b in zip(S[4:], S[5:]))
+
+
+def test_tail_search_stops_at_its_index_bound():
+    with pytest.raises(ValueError, match="not certified up to index"):
+        analytics._theta_partial(ParameterTuple.kappa(2, "1/2"), analytics.MAX_TAIL_INDEX + 1)
+
+
+def test_partial_product_equals_the_factor_by_factor_product():
+    tup = ParameterTuple.kappa(3, "2/3")
+    num, den, _, _ = analytics._theta_partial(tup, 100)
+    ref_num = ref_den = 1
+    for i in itertools.count():
+        if ref_den >= den:
+            break
+        S = tup.materialize(i)[0]
+        ref_num, ref_den = ref_num * (3**S + 3), ref_den * 3**S
+    assert i > 100 and (num, den) == (ref_num, ref_den)
+    assert analytics._product([]) == 1 and analytics._product([7]) == 7
+
+
+def test_exponent_range_check_catches_a_wrong_period(monkeypatch):
+    # a valid rule cannot reach it: p^S + p^R - 1 <= p^(S + 2R) <= (p^S + p^R - 1)^3
+    monkeypatch.setattr(analytics, "_period", lambda tup: (1, 3, 100))
+    with pytest.raises(RuntimeError, match="falls outside"):
+        gk_periodic(TUP2)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import cloverlie
-from cloverlie import GrowthTable, ParameterTuple, cli, closure, gk_periodic
+from cloverlie import GrowthTable, ParameterTuple, analytics, cli, closure, gk_periodic
 from cloverlie.cli import main
 
 
@@ -725,3 +726,78 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.command == line.split()[1]
+
+
+# ---------------------------------------------------------------------------
+# guards reached through the command line
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--S", "1", "--R", "1", "--max", "4"), ("--tuple", "constant:1,1", "--interval", "9,1")],
+    ids=["max", "interval"],
+)
+def test_gk_refuses_scan_options_outside_scan(capsys, extra):
+    code, out, err = run(capsys, "gk", "--p", "2", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: --max and --interval apply only to gk --scan\n"
+
+
+def test_gk_range_check_failure_is_an_internal_check(capsys, monkeypatch):
+    # only a wrong ladder reaches it: every valid rule's exponent lies in [1, 3]
+    monkeypatch.setattr(analytics, "_period", lambda tup: (1, 3, 100))
+    code, out, err = run(capsys, "gk", "--p", "2", "--S", "1", "--R", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal check failed: certified range check failed")
+
+
+@pytest.mark.parametrize(
+    "spec", ["kappa:3/4", "kappa:4/5", "qkappa:1,2", "qkappa:1,5/2", "qkappa:1,3"]
+)
+def test_bounds_certifies_slowly_growing_tails(capsys, spec):
+    # kappa:3/4 is certified at tail index 4,096 (its ratio test fails at 8
+    # and 16), kappa:4/5 at 262,144; the tower rules with kappa >= 2 at p = 2
+    # from the increments' growth (analytics._qkappa_tail)
+    weight = "100" if spec.startswith("kappa") else "1000"
+    code, out, err = run(capsys, "bounds", "--p", "2", "--tuple", spec, "--max-weight", weight)
+    assert (code, err) == (0, "")
+    assert re.fullmatch(r"suite quasilinear-bounds: \d+ pass, 0 fail, 0 outside trusted zone\n", out)
+
+
+def test_bounds_refuses_a_tail_past_the_index_bound(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--p", "2", "--tuple", "kappa:9/10", "--max-weight", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: tail of rule kappa:9/10 not certified up to index 524288\n"
+
+
+def test_bounds_below_weight_two_checks_nothing(capsys):
+    code, out, err = run(capsys, "bounds", "--p", "2", "--tuple", "kappa:1/2", "--max-weight", "1")
+    assert (code, out, err) == (0, "suite quasilinear-bounds: 0 pass, 0 fail, 0 outside trusted zone\n", "")
+
+
+def _table_file(tmp_path, rows):
+    """A saved growth table whose counts are all in the first family."""
+    target = tmp_path / "table.csv"
+    target.write_text(GrowthTable(2, "", [(m, t, 0, 0, 0, t) for m, t in rows]).to_csv(), newline="")
+    return str(target)
+
+
+@pytest.mark.parametrize(
+    "rows, level",
+    [
+        # level 0 skips every row with total <= m, leaving no point
+        ([(m, m) for m in range(1, 101)], "0"),
+        # level 4 skips every row, those with ln ln ln m <= 0 (m <= 15) inside
+        # the iterated logarithm, the others as ln^(4) m <= 0 (m <= 3.8e6)
+        ([(m, 3 * m) for m in range(1, 101)], "4"),
+        # weights 10**30 .. 10**30 + 7 share one float logarithm: no spread
+        ([(1, 1), *((10**30 + i, 10**30 + i) for i in range(8))], "gk"),
+    ],
+    ids=["level0-no-points", "level4-no-points", "no-spread"],
+)
+def test_fit_refuses_windows_without_a_slope(capsys, tmp_path, rows, level):
+    code, out, err = run(capsys, "fit", "--in", _table_file(tmp_path, rows), "--level", level)
+    assert (code, out, err) == (2, "", "error: window too small\n")
+

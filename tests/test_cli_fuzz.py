@@ -65,8 +65,10 @@ REPEATING = st.one_of(
 EXPLICIT = _joined(ENTRY, 12, 12).map("explicit:{}".format)
 # valid rules that run out of entries during the computation
 SHORT_EXPLICIT = _joined(ENTRY, 1, 3).map("explicit:{}".format)
-POWER_LAW = st.sampled_from(("kappa:1/2", "kappa:2/3"))
-ANALYTIC = st.one_of(POWER_LAW, st.just("qkappa:1,1"))
+# kappa:3/4 reaches the power-law tail's fall-back, qkappa:1,2 at p = 2 the
+# tower tail's certificate for an increment ratio of exactly 2
+POWER_LAW = st.sampled_from(("kappa:1/2", "kappa:2/3", "kappa:3/4"))
+ANALYTIC = st.one_of(POWER_LAW, st.sampled_from(("qkappa:1,1", "qkappa:1,2")))
 INVALID_RULE_VALUES = (
     "kappa:0",
     "kappa:3/2",

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloverlie import (
+    ContextMismatchError,
     Derivation,
     DpContext,
     GrowthTable,
@@ -869,3 +870,45 @@ def test_self_similarity_needs_periodicity():
     with pytest.raises(ValueError, match="periodic"):
         self_similarity_decompose(ParameterTuple.kappa(2, "1/2"), 3)
 
+
+
+# ---------------------------------------------------------------------------
+# every guard fires
+
+
+def test_restricted_closure_refuses_no_or_mixed_generators():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        restricted_closure([], 1)
+    gens = [pivot(DpContext(TUP2, 3), "v", 0), pivot(DpContext(TUP2, 4), "w", 0)]
+    with pytest.raises(ContextMismatchError):
+        restricted_closure(gens, 1)
+
+
+def test_nil_index_refuses_another_context():
+    _, basis = closure_at(TUP2, 3)
+    with pytest.raises(ContextMismatchError):
+        nil_index(pivot(DpContext(TUP2, 4), "v", 0), basis)
+
+
+def test_self_similarity_needs_depth_twice_the_period():
+    tup = ParameterTuple.periodic(2, [(1, 1), (2, 1)])
+    with pytest.raises(ValueError, match=r"depth >= twice the period \(4\)"):
+        self_similarity_decompose(tup, 3)
+
+
+def test_shallow_suites_are_refused_by_the_closure():
+    # DpContext refuses depth 0, and the trusted weight bound depth 1
+    for depth, message in ((0, "depth must be >= 1"), (1, "depth must be >= 2")):
+        with pytest.raises(ValueError, match=message):
+            verify_grading(TUP2, depth)
+
+
+def test_oversized_closure_is_refused_in_process(capsys):
+    # p=2 depth 7 has 16,908 descriptors: refused before any bracket
+    code = main(["basis", "--p", "2", "--tuple", "constant:1,1", "--depth", "7", "--check"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [
+        f"error: closure too large: 16908 basis elements at depth 7 "
+        f"exceed the limit {closure.MAX_CLOSURE_DIM}"
+    ]

@@ -447,3 +447,25 @@ def test_linear_operations_keep_the_type():
             assert type(y) is cls
         assert (x - x).is_zero() and not (x - x) and x.scale(3) == cls.zero(x.ctx)
         assert x + x == -x and x.scale(2) == -x
+
+
+# ---------------------------------------------------------------------------
+# every guard fires
+
+
+def test_negative_indices_are_refused():
+    ctx = make_ctx()
+    D = pivot(ctx, "v", 0)
+    with pytest.raises(ValueError, match="generation must be >= 0"):
+        pivot(ctx, "v", -1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        ad_power(D, D, -1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        p_power_iter(D, -1)
+
+
+def test_zero_has_no_multidegree_and_no_terms():
+    ctx = make_ctx()
+    assert Derivation.zero(ctx).multidegree() is None
+    assert Derivation.zero(ctx).term_count() == 0
+    assert pivot(ctx, "v", 0).term_count() == 3  # one shift per generation

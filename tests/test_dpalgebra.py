@@ -235,3 +235,23 @@ def test_render_mentions_exponents():
     s = str(a)
     assert "x0" in s and "y1" in s
     assert str(AlgebraElement.zero(ctx)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# every guard fires
+
+
+def test_monomial_and_shift_guards():
+    ctx = ctx_2114()
+    x0 = var_by_name(ctx)["x0"]
+    with pytest.raises(ValueError, match=r"exponent 2 of x0 outside 0\.\.1"):
+        AlgebraElement.monomial(ctx, {x0: 2})
+    with pytest.raises(ValueError, match="shift level must be >= 0"):
+        AlgebraElement.one(ctx).derive(x0, -1)
+
+
+def test_dp_basis_refuses_an_oversized_truncation():
+    # eight monomials per generation: 8**7 = 2,097,152 exceed the cap, refused unlisted
+    ctx = DpContext(ParameterTuple.constant(2, 1, 1), 7)
+    with pytest.raises(ValueError, match="dimension 2097152 exceeds cap 2000000"):
+        dp_basis(ctx)

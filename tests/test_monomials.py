@@ -694,3 +694,77 @@ def test_dense_table_stores_no_object_per_row():
     assert sys.getallocatedblocks() - blocks < n // 100
     assert size / n <= 64
     assert len(table.rows) == n
+
+
+# ---------------------------------------------------------------------------
+# every guard fires
+
+
+# one descriptor per out-of-bounds branch of validate_descriptor, at constant:1,1
+# and p = 2, where every box and exponent bound is 2
+BAD_DESCRIPTORS = [
+    (MonomialDescriptor("first", -1, (0,)), "negative length"),
+    (MonomialDescriptor("first", 0, (0,), ((0, 0),)), "length-0 descriptor with nonempty tail"),
+    (MonomialDescriptor("power_v", 0, (0,)), "power families have length >= 1"),
+    (MonomialDescriptor("first", 0, (2,)), r"length-0 first-family head must be \(0,\) or \(1,\)"),
+    (MonomialDescriptor("power_v", 1, (1,), ((0, 0),)), "power descriptor with nonempty tail"),
+    (MonomialDescriptor("power_w", 1, (1, 1)), "power head must be a single exponent index"),
+    (MonomialDescriptor("power_u", 1, (2,)), r"power exponent index 2 outside 1\.\.1"),
+    (MonomialDescriptor("first", 1, (0,)), "head must be an exponent pair"),
+    (MonomialDescriptor("first", 1, (1, 1)), "first-family head at the excluded corner cell"),
+    (MonomialDescriptor("second", 2, (0, 0)), r"tail must cover generations 0\.\.0"),
+    (MonomialDescriptor("second", 2, (0, 0), ((0, 2, 0),)),
+     r"tail exponent 2 of generation 0 outside 0\.\.1"),
+]
+
+
+@pytest.mark.parametrize("d, message", BAD_DESCRIPTORS, ids=[m for _, m in BAD_DESCRIPTORS])
+def test_validate_descriptor_names_each_bound(d, message):
+    with pytest.raises(ValueError, match=f"^descriptor out of bounds: {message}$"):
+        validate_descriptor(d, TUP2)
+    with pytest.raises(ValueError, match="descriptor out of bounds"):
+        monomial_weight(d, TUP2)
+
+
+def test_realize_refuses_a_generation_beyond_the_truncation():
+    d = MonomialDescriptor("first", 3, (0, 0), ((0, 0), (0, 0)))
+    realize(d, DpContext(TUP2, 4))
+    with pytest.raises(ValueError, match="length 3 needs depth >= 4"):
+        realize(d, DpContext(TUP2, 3))
+
+
+def test_counting_guards():
+    with pytest.raises(ValueError, match="max_weight must be >= 0"):
+        count_descriptors(TUP2, -1)
+    for call in (
+        lambda: count_descriptors(TUP2, 5, family="bogus"),
+        lambda: enumerate_descriptors(TUP2, 5, families=["first", "bogus"]),
+    ):
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            call()
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        family_totals(TUP2, -1)
+    # no descriptor weighs below 1, at any length
+    assert count_descriptors(TUP2, 0) == dict.fromkeys(FAMILIES, 0)
+    assert count_descriptors(TUP2, 0, family="first", length=1) == 0
+    assert list(enumerate_descriptors(TUP2, 0)) == []
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([0, 3], "checkpoint weights must be >= 1"), ([3, 10], "checkpoint weight beyond max_weight")],
+)
+def test_growth_table_refuses_checkpoints_outside_one_to_max(weights, message):
+    with pytest.raises(ValueError, match=message):
+        growth_table(TUP2, 9, weights=weights)
+
+
+def test_table_reprs_equality_and_empty_json():
+    table = growth_table(TUP2, 3)
+    assert repr(table) == "GrowthTable(p=2, tuple_spec='constant:1,1', rows=<3 rows>)"
+    assert repr(table.rows) == repr(ROWS_2_11[:3])
+    assert table != ROWS_2_11[:3] and table != table.rows
+    empty = GrowthTable(2, TUP2.spec)
+    assert json.loads(empty.to_json()) == {
+        "p": 2, "tuple": TUP2.spec, "columns": monomials._JSON_COLUMNS, "rows": []
+    }

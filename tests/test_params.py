@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 import cloverlie
 from cloverlie import (
     ParameterTuple,
+    RoundingAmbiguityError,
     TupleRuleError,
     WeightVector,
     pivot_multidegree,
     pivot_weight,
     trusted_weight_bound,
 )
+from cloverlie import params
+from cloverlie.cli import main
 
 # ---------------------------------------------------------------------------
 # construction and rule grammar
@@ -341,3 +345,82 @@ def test_package_uses_only_private_mpmath_contexts():
                     used.update((path.name, sub or alias.name) for alias in node.names)
     assert used
     assert sorted(u for u in used if u[1] not in allowed) == []
+
+
+# ---------------------------------------------------------------------------
+# integer roots, and every guard fires
+
+
+@st.composite
+def _roots(draw):
+    """(x, k): any x, or one next to a k-th power, where a wrong floor shows."""
+    k = draw(st.integers(1, 12))
+    x = draw(st.one_of(
+        st.integers(0, 2**400),
+        st.builds(lambda r, d: max(0, r**k + d), st.integers(0, 2**40), st.integers(-1, 1)),
+    ))
+    return x, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roots())
+def test_integer_root_floor_is_the_floor(xk):
+    x, k = xk
+    t = params.integer_root_floor(x, k)
+    assert t >= 0 and t**k <= x < (t + 1) ** k
+
+
+@pytest.mark.parametrize("x, k", [(-1, 2), (8, 0), (8, -3)])
+def test_integer_root_floor_refuses_bad_input(x, k):
+    with pytest.raises(ValueError, match="needs x >= 0 and k >= 1"):
+        params.integer_root_floor(x, k)
+
+
+def test_rule_guards():
+    with pytest.raises(TupleRuleError, match="unknown tuple rule 'bogus'"):
+        ParameterTuple(2, "bogus")
+    with pytest.raises(TupleRuleError, match="unknown tuple rule 'bogus' in JSON form"):
+        ParameterTuple.from_json({"p": 2, "kind": "bogus"})
+    for kappa in ("0", "-1/2"):
+        with pytest.raises(TupleRuleError, match="qkappa rule needs kappa > 0"):
+            ParameterTuple.qkappa(2, 1, kappa)
+    tup = ParameterTuple.constant(2, 1, 1)
+    for call in (tup.materialize, tup.powers, tup.pivot_weight,
+                 lambda n: tup.pivot_multidegree(n, "v")):
+        with pytest.raises(ValueError, match="generation index must be >= 0"):
+            call(-1)
+    with pytest.raises(ValueError, match="kind must be one of v, w, u; got 'x'"):
+        tup.pivot_multidegree(0, "x")
+
+
+@pytest.mark.parametrize("spec", ["qkappa:1,0", "qkappa:1,-1"])
+def test_cli_refuses_a_nonpositive_tower_kappa(capsys, spec):
+    code = main(["growth", "--p", "2", "--tuple", spec, "--max-weight", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: qkappa rule needs kappa > 0\n"
+
+
+def test_rounding_ambiguity_is_refused(monkeypatch):
+    # S_1 = floor(exp(exp(3 ln 4 / 4))) = floor(exp(2^1.5)) = floor(16.9...), but
+    # at 8 bits the enclosure of the tower straddles integers
+    tup = ParameterTuple.qkappa(2, 2, 4)
+    assert tup.materialize(1) == (16, 1)
+    monkeypatch.setattr(params, "_PREC_LADDER", (8,))
+    with pytest.raises(RoundingAmbiguityError, match="straddles an integer"):
+        ParameterTuple.qkappa(2, 2, 4).materialize(1)
+
+
+def test_repr_and_functional_aliases():
+    tup = ParameterTuple.kappa(3, "1/2")
+    assert repr(tup) == "ParameterTuple(p=3, spec='kappa:1/2')"
+    assert cloverlie.materialize(tup, 2) == tup.materialize(2) == (3, 1)
+
+
+def test_powers_extend_in_linear_time():
+    # each generation's power is appended alone: 40,000 generations in well
+    # under a second, where copying every earlier pair per step took seconds
+    tup = ParameterTuple.constant(2, 1, 1)
+    start = time.monotonic()
+    assert tup.pivot_weight(40_000) == 3**40_000
+    assert time.monotonic() - start < 5

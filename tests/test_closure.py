@@ -871,7 +871,6 @@ def test_self_similarity_needs_periodicity():
         self_similarity_decompose(ParameterTuple.kappa(2, "1/2"), 3)
 
 
-
 # ---------------------------------------------------------------------------
 # every guard fires
 

@@ -246,11 +246,12 @@ def _kappa_tail(tup: ParameterTuple, I: int) -> tuple[Fraction, int] | None:
     d = Fraction(1) / kap - 1  # > 0 since 0 < kappa < 1
     inv_d = Fraction(1) / d
     D = -((-inv_d.numerator) // inv_d.denominator)  # ceil(1/d)
-    s_min = tup.materialize(I + 1)[0]
+    # the rule's closed form: no entry before I + 1 is materialized
+    s_min = tup._rule_pair(I + 1)[0]
     rho = Fraction((s_min + 2) ** D, (s_min + 1) ** D * p)
     if rho >= 1:
         return None
-    first = Fraction((s_min + 1) ** D * p, tup.powers(I + 1)[0])
+    first = Fraction((s_min + 1) ** D * p, p**s_min)
     return first / (1 - rho), (1 - rho).numerator
 
 
@@ -291,7 +292,7 @@ def _product(factors: list[int]) -> int:
 
 def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fraction, int]:
     """(num, den, T, c): theta's partial product num/den through an index I >= target_index,
-    unreduced (den is a power of p), a certified T >= sum_{i>I} p^(1-S_i), T <= 1/2,
+    in lowest terms (den is a power of p), a certified T >= sum_{i>I} p^(1-S_i), T <= 1/2,
     and a small c such that T's denominator is a power of p times a divisor of c.
 
     I doubles from max(target_index, 8 or 3) until the tail is certified;
@@ -315,10 +316,14 @@ def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fr
     else:
         raise ValueError(f"tail of rule {tup.spec} not certified up to index {MAX_TAIL_INDEX}")
 
-    # prod (1 + p/p^S_i) = prod (p^S_i + p) / prod p^S_i
-    num = _product([tup.powers(i)[0] + p for i in range(I + 1)])
-    den = p ** sum(S for S, _ in tup.pairs(I + 1))
-    return num, den, *found
+    # prod (1 + p/p^S_i) = prod (p^S_i + p) / prod p^S_i, and p^S_i + p = p f_i with
+    # f_i = p^(S_i - 1) + 1 prime to p unless f_i = p (p = 2, S_i = 1): dividing those
+    # p's out leaves num/den in lowest terms, with no big gcd or division
+    S = [s for s, _ in tup.pairs(I + 1)]
+    f = [p ** (s - 1) + 1 for s in S]
+    e = sum(S) - len(f) - f.count(p)
+    num = _product([x for x in f if x != p])
+    return num * p ** max(-e, 0), p ** max(e, 0), *found
 
 
 # Fraction(num, den) for num and den > 0 already in lowest terms, without the
@@ -353,7 +358,7 @@ def theta_bounds(tup: ParameterTuple, target_index: int = 0) -> tuple[Fraction, 
     """
     num, den, tail, c = _theta_partial(tup, target_index)
     p = tup.p
-    lo = _lowest_terms(num, den, p, 1)
+    lo = _coprime_fraction(num, den)
     # the factor's denominator divides the tail's, so c still covers the cofactor
     factor = 1 + 2 * tail
     hi = _lowest_terms(
@@ -477,7 +482,7 @@ def check_quasilinear_bounds(tup: ParameterTuple, table: GrowthTable) -> Verific
     if not ms:
         return rep
     ns = _ladder_positions(tup, ms)
-    # compared unreduced: reducing the product of a tower rule's huge powers takes seconds
+    # compared by cross-multiplying: a tower rule's partial product has millions of bits
     theta_num, theta_den, _, _ = _theta_partial(tup, ns[-1] + 2)
     for m, n, second, power_second in zip(
         ms, ns, table.second[start:], table.power_second[start:]

@@ -28,13 +28,13 @@ deficiencies subtracted from the head weight.  Counting descriptors of weight
 at most m never materializes operators: it is exact big-integer lattice-point
 counting (closed-form box sums plus a memoized digit recursion over the
 mixed-radix ladder, run only on the lengths a weight cuts; the lengths it
-saturates come from a prefix table of closed-form totals), with a vectorized
-dense convolution path for tables that need every integer row.  The memo and
+saturates come from a prefix table of closed-form totals).  The memo and
 the tables belong to one engine per (tuple, column); engines are held in a
 bounded least-recently-used cache, so calls share them without unbounded
-growth.  Dense tables are cross-checked against the
-big-integer engine at every pivot-ladder weight W_n below the last row and
-at the last row.
+growth.  A table of every weight 1..M has one path for every rule: a numpy
+int64 convolution over tails counted by slack and cut at M.  It is checked
+against the big-integer engine at every pivot-ladder weight W_n below M and
+at M, which also shows that no int64 value wrapped.
 """
 
 from __future__ import annotations
@@ -583,53 +583,41 @@ def enumerate_descriptors(
 # -- growth tables ----------------------------------------------------------------
 
 
-# Longest deficiency distribution the dense path allocates: 2,400,000 int64
-# entries, 19.2 MB per array.
-_DENSE_DIST_CAP = 2_400_000
-_DENSE_COUNT_GUARD = 1 << 40
+def _dense_exact_rows(tup: ParameterTuple, M: int) -> dict:
+    """Per-family numpy int64 counts at every exact weight 1..M (M >= 1).
 
-
-def _dense_exact_rows(tup: ParameterTuple, M: int):
-    """Per-family counts at every exact weight 1..M, or None if unsuited.
-
-    numpy int64 convolution; only used when every per-length family total
-    fits comfortably below 2^40 so no intermediate can overflow.
+    Tails are counted by slack σ = dmax(k) − D (D: deficiency); a tail cell's
+    box is symmetric under e ↔ cap − e, so the counts by slack are those by
+    deficiency.  Head sum s and slack σ weigh base + s·W_{n-1} + σ, with
+    base = 2 W_{n-1} − dmax(n-1) the least weight of length n, so each
+    distribution is cut at σ = M − base; base grows with n, so the next
+    length's fold never needs an entry past the cut.
     """
     out = {f: np.zeros(M + 1, dtype=np.int64) for f in FAMILIES}
-    if M >= 1:
-        for fam, kinds in _GENERATORS.items():
-            out[fam][1] = len(kinds)
+    for fam, kinds in _GENERATORS.items():
+        out[fam][1] = len(kinds)
     for fam in ("first", "second"):
         eng = _engine(tup, fam)
         arr = out[fam]
-        dist = np.ones(1, dtype=np.int64)  # deficiency distribution, k = 0
+        dist = np.ones(1, dtype=np.int64)  # tails by slack, k = 0
         for n, W in _lengths(tup, fam, M):
             k = n - 1
-            if eng.total(k) > _DENSE_COUNT_GUARD or eng.dmax(k) > _DENSE_DIST_CAP:
-                return None
+            base = 2 * W - eng.dmax(k)
             if k:
                 # Fold in generation k-1.  Its kernel is supported on multiples
                 # of W_{k-1} only, so a handful of shifted adds beats a dense
                 # convolution.
                 Wk = tup.pivot_weight(k - 1)
-                prev, dist = dist, np.zeros(eng.dmax(k) + 1, dtype=np.int64)
-                for s in range(eng._caps[k - 1] + 1):
+                cut = min(eng.dmax(k), M - base) + 1
+                prev, dist = dist, np.zeros(cut, dtype=np.int64)
+                for s in range(min(eng._caps[k - 1], (cut - 1) // Wk) + 1):
                     c = eng.ker_point(k - 1, s)
-                    if c:
-                        dist[s * Wk : s * Wk + len(prev)] += c * prev
+                    dist[s * Wk : s * Wk + len(prev)] += c * prev[: cut - s * Wk]
             P, Q = _head_box(tup, fam, n)
-            s_hi = min(P + Q - 2, (M + eng.dmax(k)) // W - 2)
-            for s in range(0, s_hi + 1):
+            for s in range(min(P + Q - 2, (M - base) // W) + 1):
                 c = _head_count(fam, P, Q, s) - _head_count(fam, P, Q, s - 1)
-                if not c:
-                    continue
-                hw = (s + 2) * W
-                # weight = hw - D for deficiency D in [max(0, hw - M), dmax];
-                # s <= s_hi keeps hw - M <= dmax, so the range is never empty
-                d_lo = max(0, hw - M)
-                d_hi = len(dist) - 1
-                seg = dist[d_lo : d_hi + 1][::-1]  # weights hw-d_hi .. hw-d_lo
-                arr[hw - d_hi : hw - d_lo + 1] += c * seg
+                lo = base + s * W
+                arr[lo : lo + len(dist)] += c * dist[: M + 1 - lo]
     for fam in _POWER_KIND:
         for n, _ in _lengths(tup, fam, M):
             for val in _power_weights(tup, fam, n, M):
@@ -866,20 +854,20 @@ def growth_table(
             raise ValueError("checkpoint weight beyond max_weight")
     if len(ms) > TABLE_ROW_CAP:
         raise ValueError(f"table too large: {len(ms)} rows exceed the limit of {TABLE_ROW_CAP}")
-    dense = _dense_exact_rows(tup, max_weight) if weights is None else None
-    if dense is not None:
-        # int64 is safe: cumulative counts grow no faster than a small multiple
-        # of M^3, and M <= TABLE_ROW_CAP gives 200,000^3 * 8 < 2^63.
-        # Cumulative sums of nonnegative counts never decrease.
-        cols = _dense_columns(dense)
-        # Cross-check every pivot-ladder weight below max_weight, then
-        # the last row, against the big-integer engine.
-        for n in itertools.count():
-            m = min(tup.pivot_weight(n), max_weight)
-            if tuple(col[m - 1] for col in cols[:4]) != _columns(count_descriptors(tup, m)):
-                raise RuntimeError("counting engines disagree")
-            if m == max_weight:
-                break
-        return GrowthTable._of_columns(tup.p, tup.spec, (ms, *cols))
-    counted = (_columns(count_descriptors(tup, m)) for m in ms)
-    return GrowthTable(tup.p, tup.spec, ((m, *c, sum(c)) for m, c in zip(ms, counted)))
+    if weights is not None:
+        counted = (_columns(count_descriptors(tup, m)) for m in ms)
+        return GrowthTable(tup.p, tup.spec, ((m, *c, sum(c)) for m, c in zip(ms, counted)))
+    # int64 is safe: each value the dense path writes is at most the number of
+    # descriptors of weight <= max_weight (a kept tail takes head (0, 0), a
+    # head of both families), i.e. the last total, and that matches the
+    # big-integer count only below 2^63.  Checked at every pivot-ladder weight
+    # below max_weight, then at the last row; cumulative sums of nonnegative
+    # counts never decrease.
+    cols = _dense_columns(_dense_exact_rows(tup, max_weight))
+    for n in itertools.count():
+        m = min(tup.pivot_weight(n), max_weight)
+        counts = _columns(count_descriptors(tup, m))
+        if tuple(col[m - 1] for col in cols) != (*counts, sum(counts)):
+            raise RuntimeError("counting engines disagree")
+        if m == max_weight:
+            return GrowthTable._of_columns(tup.p, tup.spec, (ms, *cols))

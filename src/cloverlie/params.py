@@ -260,26 +260,33 @@ class ParameterTuple:
     # -- rule evaluation ---------------------------------------------------
 
     def _rule_pair(self, n: int) -> tuple[int, int]:
+        """(S_n, R_n) by the rule, uncached (a kappa entry is a closed form in
+        n).  Raises TupleRuleError for an entry whose p**S or p**R would exceed
+        2**26 bits, rather than let a later power hang."""
         pattern = self._pattern
         if pattern is not None:
             if self._period is None and n >= len(pattern):
                 raise TupleRuleError(
                     f"explicit tuple has only {len(pattern)} entries, index {n} requested"
                 )
-            return pattern[n % len(pattern)]
-        if self.kind == "kappa":
+            pair = pattern[n % len(pattern)]
+        elif self.kind == "kappa":
             expo = 1 / self.params["kappa"] - 1
-            return (max(1, _floor_rational_power(n + 1, expo)), 1)
-        # qkappa: S_0 = 1 and S_n = floor(exp^(q)(lam*(n+2))) + 1 - sum of
-        # earlier entries, where exp(lam*t) = p**(2*t/kappa).
-        if n == 0:
-            return (1, 1)
-        prior = sum(s for s, _ in self._pairs[:n])
-        cap = prior + _MAX_ENTRY_BITS // self.p.bit_length()
-        s_n = self._tower_floor(n + 2, cap) + 1 - prior
-        if s_n < 1:
-            raise TupleRuleError(f"tuple rule degenerate at index {n}")
-        return (s_n, 1)
+            pair = (max(1, _floor_rational_power(n + 1, expo)), 1)
+        elif n == 0:
+            # qkappa: S_0 = 1 and S_n = floor(exp^(q)(lam*(n+2))) + 1 - sum of
+            # earlier entries, where exp(lam*t) = p**(2*t/kappa).
+            pair = (1, 1)
+        else:
+            prior = sum(s for s, _ in self._pairs[:n])
+            cap = prior + _MAX_ENTRY_BITS // self.p.bit_length()
+            s_n = self._tower_floor(n + 2, cap) + 1 - prior
+            if s_n < 1:
+                raise TupleRuleError(f"tuple rule degenerate at index {n}")
+            pair = (s_n, 1)
+        if max(pair) * self.p.bit_length() > _MAX_ENTRY_BITS:
+            raise TupleRuleError("tuple entry too large to materialize")
+        return pair
 
     def _tower_floor(self, t: int, cap: int) -> int:
         """floor(exp^(q)(lam*t)) with lam = ln(p^2)/kappa, certified exactly.
@@ -314,17 +321,14 @@ class ParameterTuple:
     def materialize(self, n: int) -> tuple[int, int]:
         """The pair (S_n, R_n); deterministic and cached.
 
-        Raises TupleRuleError for an entry whose power p**S or p**R would
-        exceed 2**26 bits, rather than let a later power hang.
+        Raises TupleRuleError for an entry too large to materialize (see
+        ``_rule_pair``).
         """
         if n < 0:
             raise ValueError("generation index must be >= 0")
         with self._lock:
             while len(self._pairs) <= n:
-                pair = self._rule_pair(len(self._pairs))
-                if max(pair) * self.p.bit_length() > _MAX_ENTRY_BITS:
-                    raise TupleRuleError("tuple entry too large to materialize")
-                self._pairs.append(pair)
+                self._pairs.append(self._rule_pair(len(self._pairs)))
             return self._pairs[n]
 
     def pairs(self, n: int) -> tuple[tuple[int, int], ...]:

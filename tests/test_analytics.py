@@ -584,6 +584,28 @@ def test_tower_tail_certified_for_slow_towers(kappa):
     assert all(b > a for a, b in zip(S[4:], S[5:]))
 
 
+@pytest.mark.parametrize("kappa", ["9/10", "5/6"])
+def test_refused_power_tail_materializes_no_entries_up_to_the_bound(kappa):
+    # each S_{I+1} the search reads comes from the rule's closed form, so
+    # refusing at index 2^19 leaves the entries 0..I unmaterialized
+    tup = ParameterTuple.kappa(2, kappa)
+    with pytest.raises(ValueError, match="not certified up to index 524288"):
+        theta_bounds(tup)
+    assert tup.materialized_length < 100
+
+
+def test_theta_bounds_of_a_long_partial_product_in_lowest_terms():
+    # kappa:4/5 at p = 2 is certified at I = 2^18, where the partial product
+    # has about 4.5 million bits
+    tup = ParameterTuple.kappa(2, "4/5")
+    lo, hi = theta_bounds(tup)
+    assert lo.numerator % 2 and lo.denominator & (lo.denominator - 1) == 0
+    S = [s for s, _ in tup.pairs(2**18 + 1)]
+    num = analytics._product([2**s + 2 for s in S])
+    assert lo.numerator << sum(S) == num * lo.denominator
+    assert 1 < lo < hi
+
+
 def test_tail_search_stops_at_its_index_bound():
     with pytest.raises(ValueError, match="not certified up to index"):
         analytics._theta_partial(ParameterTuple.kappa(2, "1/2"), analytics.MAX_TAIL_INDEX + 1)
@@ -594,11 +616,13 @@ def test_partial_product_equals_the_factor_by_factor_product():
     num, den, _, _ = analytics._theta_partial(tup, 100)
     ref_num = ref_den = 1
     for i in itertools.count():
-        if ref_den >= den:
-            break
         S = tup.materialize(i)[0]
         ref_num, ref_den = ref_num * (3**S + 3), ref_den * 3**S
-    assert i > 100 and (num, den) == (ref_num, ref_den)
+        if ref_num * den >= num * ref_den:  # the partial products increase
+            break
+    assert i >= 100 and ref_num * den == num * ref_den
+    # in lowest terms: den is a power of 3 and num is prime to 3
+    assert num % 3 and 3 ** round(math.log(den, 3)) == den
     assert analytics._product([]) == 1 and analytics._product([7]) == 7
 
 

@@ -36,6 +36,7 @@ from cloverlie import monomials
 from cloverlie.cli import _quasilinear_checkpoints
 from cloverlie.monomials import FAMILIES, validate_descriptor
 from cloverlie.params import TupleRuleError
+from conftest import random_explicit_tuple
 
 TUP2 = ParameterTuple.constant(2, 1, 1)
 TUP3 = ParameterTuple.constant(3, 1, 1)
@@ -218,6 +219,46 @@ def test_dense_rows_match_count_at_every_weight():
             assert {f: int(cum[f][m]) for f in FAMILIES} == counts, (tup, m)
 
 
+def test_dense_rows_match_count_on_lopsided_rules():
+    # large, unequal exponent boxes: most tail distributions are cut at M,
+    # and every row still equals the big-integer engine's
+    rng = random.Random(20261020)
+    cut = 0
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        tup = ParameterTuple.explicit(
+            p, [(rng.randint(1, 6), rng.randint(1, 8)) for _ in range(8)]
+        )
+        M = rng.randint(1, 400)
+        dense = monomials._dense_exact_rows(tup, M)
+        cum = {f: np.cumsum(dense[f]) for f in FAMILIES}
+        for m in range(1, M + 1):
+            counts = count_descriptors(tup, m)
+            assert {f: int(cum[f][m]) for f in FAMILIES} == counts, (tup, m)
+        # the cut is active at a length n > 1 when dmax(n-1) > M - base, i.e. 2 W_{n-1} > M
+        cut += any(
+            2 * W > M
+            for fam in ("first", "second")
+            for n, W in monomials._lengths(tup, fam, M)
+            if n > 1
+        )
+    assert cut
+
+
+def test_slack_base_is_the_least_weight():
+    rng = random.Random(7)
+    tups = [TUP2, ParameterTuple.periodic(3, [(1, 2), (2, 1)])]
+    tups += [random_explicit_tuple(rng, max_S=6, max_R=8, length=20) for _ in range(20)]
+    for tup in tups:
+        for fam in ("first", "second"):
+            eng, least, seen = monomials._engine(tup, fam), 0, 0
+            for n, W in monomials._lengths(tup, fam, 10**6):
+                least = monomials._least_weight(tup, fam, n, least)
+                assert 2 * W - eng.dmax(n - 1) == least, (tup, fam, n)
+                seen = n
+            assert seen >= 2
+
+
 def test_dense_rows_cross_checked_at_pivot_weights(monkeypatch):
     real = monomials._dense_exact_rows
 
@@ -233,13 +274,14 @@ def test_dense_rows_cross_checked_at_pivot_weights(monkeypatch):
         growth_table(TUP2, 100)
 
 
-def test_growth_table_falls_back_to_the_big_integer_engine():
-    # one length-2 family total already exceeds the int64 guard, so the
-    # dense path declines and every row is counted exactly
+def test_growth_table_takes_the_dense_path_on_large_boxes():
+    # the second family's length-2 tails number 2^42, with slacks up to
+    # 49,149: only those of slack <= M - base are kept, and the table is dense
     tup = ParameterTuple.constant(2, 14, 14)
     M = 16385
-    assert monomials._dense_exact_rows(tup, M) is None
     t = growth_table(tup, M)
+    assert t.ms == range(1, M + 1)
+    assert all(col.typecode == "q" for col in (t.first, t.second, t.totals))
     assert len(t.rows) == M
     for n in itertools.count():
         m = min(tup.pivot_weight(n), M)

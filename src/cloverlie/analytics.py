@@ -12,6 +12,7 @@ is certified rather than an artifact of floating-point rounding.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -318,11 +319,12 @@ def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fr
 
     # prod (1 + p/p^S_i) = prod (p^S_i + p) / prod p^S_i, and p^S_i + p = p f_i with
     # f_i = p^(S_i - 1) + 1 prime to p unless f_i = p (p = 2, S_i = 1): dividing those
-    # p's out leaves num/den in lowest terms, with no big gcd or division
-    S = [s for s, _ in tup.pairs(I + 1)]
-    f = [p ** (s - 1) + 1 for s in S]
-    e = sum(S) - len(f) - f.count(p)
-    num = _product([x for x in f if x != p])
+    # p's out leaves num/den in lowest terms, with no big gcd or division.  The S_i
+    # take few distinct values, so each f_s is raised to its count n_s once.
+    counts = collections.Counter(s for s, _ in tup.pairs(I + 1))
+    f = {s: p ** (s - 1) + 1 for s in counts}
+    e = sum((s - 1 - (f[s] == p)) * n for s, n in counts.items())
+    num = _product([f[s] ** n for s, n in counts.items() if f[s] != p])
     return num * p ** max(-e, 0), p ** max(e, 0), *found
 
 

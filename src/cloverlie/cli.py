@@ -29,9 +29,6 @@ from .closure import (
 from .monomials import GrowthTable, growth_table
 from .params import ParameterTuple
 
-# Characters of table text encoded and written per call by ``growth --out``.
-_WRITE_SLICE = 1 << 20
-
 _TUPLE_HELP = (
     "generation rule: constant:S,R | periodic:S0,R0;S1,R1;... | "
     "kappa:K | qkappa:q,K | explicit:S0,R0;..."
@@ -100,16 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_growth(args) -> int:
     tup = ParameterTuple.from_spec(args.p, args.tuple_spec)
+    # built first, so that a refused table leaves no file and stdout empty
     table = growth_table(tup, args.max_weight)
-    text = table.to_csv() if args.format == "csv" else table.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            # in slices: one write would hold an encoded copy of the whole text
-            for i in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[i : i + _WRITE_SLICE])
+            fh.writelines(table._text(args.format))
         print(f"wrote {len(table.ms)} rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(table._text(args.format))
     return 0
 
 
@@ -120,7 +115,7 @@ def _cmd_basis(args) -> int:
         # built first, so that a refused table leaves stdout empty
         table = growth_table(tup, bound)
         print(f"trusted weight bound at depth {args.depth}: {bound}")
-        sys.stdout.write(table.to_csv())
+        sys.stdout.writelines(table._text("csv"))
         return 0
     reports = [
         verify_basis_theorem(tup, args.depth),

@@ -635,8 +635,7 @@ _CSV_COLUMNS = (
     "log_gamma_over_log_m",
 )
 _JSON_COLUMNS = ["m", "first", "second", "power_first", "power_second", "gamma_total"]
-# Rows rendered per chunk: to_csv and to_json join one chunk's row strings
-# and drop them before formatting the next chunk.
+# Rows rendered per piece of table text (GrowthTable._text).
 _RENDER_CHUNK = 4096
 
 
@@ -747,28 +746,35 @@ class GrowthTable:
             raise KeyError(f"no computed row at weight {m}")
         return self.totals[i]
 
-    def _chunks(self):
-        """Row tuples of the table, one iterator per chunk of _RENDER_CHUNK rows."""
+    def _text(self, fmt: str):
+        """The table's CSV (fmt "csv") or JSON text in pieces: the header,
+        one piece per _RENDER_CHUNK rows, then the footer."""
+        if fmt == "csv":
+            yield ",".join(_CSV_COLUMNS)
+        else:
+            head = {"p": self.p, "tuple": self.tuple_spec, "columns": _JSON_COLUMNS, "rows": []}
+            yield json.dumps(head)[: -len("]}")]
         cols = self._row_columns()
         for lo in range(0, len(self.ms), _RENDER_CHUNK):
-            yield zip(*(col[lo : lo + _RENDER_CHUNK] for col in cols))
+            rows = zip(*(col[lo : lo + _RENDER_CHUNK] for col in cols))
+            if fmt == "csv":
+                yield "".join(
+                    [
+                        f"\r\n{m},{tot},{fi},{se},{pf},{ps},{math.log(tot) / math.log(m):.12g}"
+                        if m > 1 and tot > 0
+                        else f"\r\n{m},{tot},{fi},{se},{pf},{ps},"
+                        for m, fi, se, pf, ps, tot in rows
+                    ]
+                )
+            else:
+                yield (", " if lo else "") + ", ".join(
+                    [f"[{m}, {fi}, {se}, {pf}, {ps}, {tot}]" for m, fi, se, pf, ps, tot in rows]
+                )
+        yield "\r\n" if fmt == "csv" else "]}"
 
     def to_csv(self) -> str:
         """CSV text, byte for byte what ``csv.writer`` writes (no cell needs quoting)."""
-        lines = [",".join(_CSV_COLUMNS)]
-        lines += (
-            "\r\n".join(
-                [
-                    f"{m},{tot},{fi},{se},{pf},{ps},{math.log(tot) / math.log(m):.12g}"
-                    if m > 1 and tot > 0
-                    else f"{m},{tot},{fi},{se},{pf},{ps},"
-                    for m, fi, se, pf, ps, tot in rows
-                ]
-            )
-            for rows in self._chunks()
-        )
-        lines.append("")
-        return "\r\n".join(lines)
+        return "".join(self._text("csv"))
 
     @classmethod
     def from_csv(cls, text: str, p: int = 0, tuple_spec: str = "") -> "GrowthTable":
@@ -781,17 +787,7 @@ class GrowthTable:
 
     def to_json(self) -> str:
         """What ``json.dumps`` writes for the table with ``rows`` as a list of lists."""
-        head = json.dumps(
-            {"p": self.p, "tuple": self.tuple_spec, "columns": _JSON_COLUMNS, "rows": []}
-        )
-        chunks = [
-            ", ".join([f"[{m}, {fi}, {se}, {pf}, {ps}, {tot}]" for m, fi, se, pf, ps, tot in rows])
-            for rows in self._chunks()
-        ] or [""]
-        # the head and tail go onto the end chunks, so the text is joined once
-        chunks[0] = head[: -len("]}")] + chunks[0]
-        chunks[-1] += "]}"
-        return ", ".join(chunks)
+        return "".join(self._text("json"))
 
 
 def _columns(counts):

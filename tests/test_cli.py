@@ -9,11 +9,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import cloverlie
-from cloverlie import GrowthTable, ParameterTuple, analytics, cli, closure, gk_periodic
+from cloverlie import GrowthTable, ParameterTuple, analytics, cli, closure, gk_periodic, monomials
 from cloverlie.cli import main
 
 
@@ -100,15 +101,45 @@ def test_growth_out_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_growth_out_writes_text_in_slices(capsys, tmp_path, monkeypatch, fmt):
-    # slices of 7 characters cut rows and CRLF pairs; the file is the whole text
-    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+def test_growth_out_writes_text_in_chunks(capsys, tmp_path, monkeypatch, fmt):
+    # chunks of 7 rows: 300 rows end inside a chunk; the file is the whole text
+    monkeypatch.setattr(monomials, "_RENDER_CHUNK", 7)
     target = tmp_path / f"t.{fmt}"
     args = ("growth", "--p", "3", "--tuple", "constant:1,1", "--max-weight", "300")
     code, out, _ = run(capsys, *args, "--format", fmt, "--out", str(target))
     assert code == 0 and "wrote 300 rows" in out
     code, want, _ = run(capsys, *args, "--format", fmt)
     assert code == 0 and target.read_bytes() == want.encode()
+
+
+@pytest.fixture(scope="module")
+def table_200k():
+    return cloverlie.growth_table(ParameterTuple.constant(2, 1, 1), 200_000)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_growth_out_holds_no_copy_of_the_text(capsys, tmp_path, monkeypatch, table_200k, fmt):
+    # the text goes to the file one chunk at a time; one string of it all
+    # would be as large as the file
+    monkeypatch.setattr(cli, "growth_table", lambda tup, max_weight: table_200k)
+    target = tmp_path / f"t.{fmt}"
+    args = ["growth", "--p", "2", "--tuple", "constant:1,1", "--max-weight", "200000"]
+    tracemalloc.start()
+    try:
+        code = main([*args, "--format", fmt, "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "wrote 200000 rows" in capsys.readouterr().out
+    assert peak < target.stat().st_size / 4
+
+
+def test_growth_refusal_leaves_no_file(capsys, tmp_path):
+    target = tmp_path / "t.csv"
+    args = ("growth", "--p", "2", "--tuple", "constant:1,1", "--max-weight", "5000000")
+    code, out, err = run(capsys, *args, "--out", str(target))
+    assert code == 2 and out == "" and "table too large" in err
+    assert not target.exists()
 
 
 def test_growth_rejects_oversized_request(capsys):

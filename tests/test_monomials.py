@@ -631,6 +631,24 @@ def test_csv_matches_csv_writer_reference():
     assert json.loads(dense.to_json())["rows"] == [list(row) for row in dense.rows]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, monomials._RENDER_CHUNK])
+def test_rendering_is_the_same_at_every_chunk_size(monkeypatch, chunk):
+    # chunks of 1 and 7 rows end on every row and in the middle of a table
+    monkeypatch.setattr(monomials, "_RENDER_CHUNK", chunk)
+    test_csv_matches_csv_writer_reference()
+    empty = GrowthTable(2, "constant:1,1")
+    assert empty.to_csv() == _reference_csv(empty)
+    for table in (empty, growth_table(TUP3, 30), growth_table(TUP2, 1)):
+        assert table.to_json() == json.dumps(
+            {
+                "p": table.p,
+                "tuple": table.tuple_spec,
+                "columns": ["m", "first", "second", "power_first", "power_second", "gamma_total"],
+                "rows": [list(row) for row in table.rows],
+            }
+        )
+
+
 # ---------------------------------------------------------------------------
 # columnar tables against the row-tuple tables they replaced
 

@@ -220,7 +220,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_fit(args) -> int:
     with open(args.table_path) as fh:
-        table = GrowthTable.from_csv(fh.read())
+        table = GrowthTable.from_csv(fh)
     fit = estimate_exponent(table, args.level)
     print(fit.describe())
     return 0

@@ -512,6 +512,34 @@ def _group_descriptors(tup: ParameterTuple, cap: int):
     return by_md
 
 
+def _check_dimensions(rep: VerificationReport, check_id: str, got: dict, want: dict, keys, key):
+    """At each key, a check that the closure dimension in ``got`` equals the
+    descriptor count in ``want`` (0 where a dict has no entry)."""
+    for k in keys:
+        g, w = got.get(k, 0), want.get(k, 0)
+        rep.check(check_id, g == w, witness=lambda: f"closure={g} descriptors={w}", **{key: k})
+
+
+def _check_brackets(rep: VerificationReport, check_id: str, span: GradedBasis, pairs):
+    """For each pair of (multidegree, element) pairs whose weights sum to at
+    most the span's cap, a check that their bracket lies in the span."""
+    for (mdi, Di), (mdj, Dj) in pairs:
+        if sum(mdi) + sum(mdj) > span.cap:
+            continue
+        res = bracket(Di, Dj)
+        ok = span.member(res.graded_components())
+        rep.check(check_id, ok, witness=lambda: f"[{Di},{Dj}]={res}", weights=(sum(mdi), sum(mdj)))
+
+
+def _check_powers(rep: VerificationReport, check_id: str, span: GradedBasis, vecs):
+    """For each (multidegree, element) pair whose weight times p is at most
+    the span's cap, a check that the element's p-th power lies in the span."""
+    for md, D in vecs:
+        if span.ctx.p * sum(md) <= span.cap:
+            ok = span.member(p_power(D).graded_components())
+            rep.check(check_id, ok, witness=lambda: f"power of {D}", weight=sum(md))
+
+
 def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
     """Closure dimensions vs descriptor counts, membership, and the split.
 
@@ -534,28 +562,12 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
 
     closure_dims = basis.dims_by_multidegree()
     pred_dims = {md: len(ds) for md, ds in sorted(by_md.items())}
-    for md in sorted(set(closure_dims) | set(pred_dims)):
-        got, want = closure_dims.get(md, 0), pred_dims.get(md, 0)
-        rep.check(
-            "dimension-multidegree",
-            got == want,
-            witness=lambda: f"closure={got} descriptors={want}",
-            multidegree=md,
-        )
-    wt_closure = basis.dims_by_weight()
-    wt_pred = _dims_by_weight(pred_dims)
-    for m in range(1, cap + 1):
-        got, want = wt_closure.get(m, 0), wt_pred.get(m, 0)
-        rep.check(
-            "dimension-weight",
-            got == want,
-            witness=lambda: f"closure={got} descriptors={want}",
-            weight=m,
-        )
+    mds = sorted(set(closure_dims) | set(pred_dims))
+    _check_dimensions(rep, "dimension-multidegree", closure_dims, pred_dims, mds, "multidegree")
+    wt_closure, wt_pred = basis.dims_by_weight(), _dims_by_weight(pred_dims)
+    _check_dimensions(rep, "dimension-weight", wt_closure, wt_pred, range(1, cap + 1), "weight")
 
-    p = tup.p
     indep = GradedBasis(ctx, cap)  # one key, so dependence across multidegrees shows
-    indep_ok = True
     # the spans of the two families, used only for membership
     first_span = GradedBasis(ctx, cap)
     second_span = GradedBasis(ctx, cap)
@@ -579,7 +591,6 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 descriptor=str(d),
             )
             if indep.insert(None, D) is None:
-                indep_ok = False
                 rep.check(
                     "realize-independence", False,
                     witness=lambda: f"dependent descriptor {d}", descriptor=str(d),
@@ -590,46 +601,16 @@ def verify_basis_theorem(tup: ParameterTuple, depth: int) -> VerificationReport:
                 span, vecs = second_span, second_vecs
             span.insert(md, D)
             vecs.append((md, D))
-    if indep_ok:
-        rep.check("realize-independence", True, count=sum(map(len, by_md.values())))
+    realized = sum(map(len, by_md.values()))
+    if indep.dimension() == realized:
+        rep.check("realize-independence", True, count=realized)
 
-    for i, (mdi, Di) in enumerate(first_vecs):
-        for mdj, Dj in first_vecs[i:]:
-            if sum(mdi) + sum(mdj) > cap:
-                continue
-            res = bracket(Di, Dj)
-            rep.check(
-                "subalgebra-first",
-                first_span.member(res.graded_components()),
-                witness=lambda: f"[{Di},{Dj}]={res}",
-                weights=(sum(mdi), sum(mdj)),
-            )
-        if p * sum(mdi) <= cap:
-            rep.check(
-                "subalgebra-first-power",
-                first_span.member(p_power(Di).graded_components()),
-                witness=lambda: f"power of {Di}",
-                weight=sum(mdi),
-            )
-    for mdi, Di in first_vecs + second_vecs:
-        for mdj, Dj in second_vecs:
-            if sum(mdi) + sum(mdj) > cap:
-                continue
-            res = bracket(Di, Dj)
-            rep.check(
-                "ideal-second",
-                second_span.member(res.graded_components()),
-                witness=lambda: f"[{Di},{Dj}]={res}",
-                weights=(sum(mdi), sum(mdj)),
-            )
-    for mdj, Dj in second_vecs:
-        if p * sum(mdj) <= cap:
-            rep.check(
-                "ideal-second-power",
-                second_span.member(p_power(Dj).graded_components()),
-                witness=lambda: f"power of {Dj}",
-                weight=sum(mdj),
-            )
+    for i, vi in enumerate(first_vecs):
+        _check_brackets(rep, "subalgebra-first", first_span, ((vi, vj) for vj in first_vecs[i:]))
+        _check_powers(rep, "subalgebra-first-power", first_span, [vi])
+    pairs = itertools.product(first_vecs + second_vecs, second_vecs)
+    _check_brackets(rep, "ideal-second", second_span, pairs)
+    _check_powers(rep, "ideal-second-power", second_span, second_vecs)
     return rep
 
 

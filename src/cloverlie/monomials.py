@@ -350,7 +350,7 @@ class _TailEngine:
         tup = self.tup
         with self._lock:
             least, sat, prefix = self._tables.setdefault(family, ([0], [0], [0]))
-            while (lw := _least_weight(tup, family, len(least), least[-1])) <= m:
+            while (lw := _least_weight(self, family, len(least))) <= m:
                 n = len(least)
                 W = tup.pivot_weight(n - 1)
                 if family in _POWER_KIND:
@@ -414,24 +414,20 @@ def _length_total(eng: _TailEngine, family: str, n: int) -> int:
     return (P * Q - len(_excluded_heads(family, P, Q))) * eng.total(n - 1)
 
 
-def _least_weight(tup: ParameterTuple, family: str, n: int, prev: int) -> int:
-    """Least weight of a length-n descriptor (n >= 1), given prev for length n-1:
-    W_{n-1} + 1 (first), p W_{n-1} (power families) or, as a running sum,
-    2 + sum_{i < n-1} (p^{S_i} - 1) W_i (second); each grows with n."""
-    if family != "second":
-        W = tup.pivot_weight(n - 1)
-        return W + 1 if family == "first" else tup.p * W
-    if n == 1:
-        return 2
-    return prev + (tup.powers(n - 2)[0] - 1) * tup.pivot_weight(n - 2)
+def _least_weight(eng: _TailEngine, family: str, n: int) -> int:
+    """Least weight of a length-n descriptor (n >= 1), eng the engine of the
+    family's column: p W_{n-1} for the power families, and 2 W_{n-1} − dmax(n-1)
+    for ``first`` and ``second`` (the head (0, 0) under the tail of greatest
+    deficiency); each grows with n."""
+    W = eng.tup.pivot_weight(n - 1)
+    return eng.tup.p * W if family in _POWER_KIND else 2 * W - eng.dmax(n - 1)
 
 
 def _lengths(tup: ParameterTuple, family: str, m: int):
     """Yield (n, W_{n-1}) for every length n >= 1 whose least weight is <= m."""
-    least = 0
+    eng = _engine(tup, _COLUMN[family])
     for n in itertools.count(1):
-        least = _least_weight(tup, family, n, least)
-        if least > m:
+        if _least_weight(eng, family, n) > m:
             return
         yield n, tup.pivot_weight(n - 1)
 
@@ -589,7 +585,7 @@ def _dense_exact_rows(tup: ParameterTuple, M: int) -> dict:
     Tails are counted by slack σ = dmax(k) − D (D: deficiency); a tail cell's
     box is symmetric under e ↔ cap − e, so the counts by slack are those by
     deficiency.  Head sum s and slack σ weigh base + s·W_{n-1} + σ, with
-    base = 2 W_{n-1} − dmax(n-1) the least weight of length n, so each
+    base the least weight of length n (``_least_weight``), so each
     distribution is cut at σ = M − base; base grows with n, so the next
     length's fold never needs an entry past the cut.
     """
@@ -602,7 +598,7 @@ def _dense_exact_rows(tup: ParameterTuple, M: int) -> dict:
         dist = np.ones(1, dtype=np.int64)  # tails by slack, k = 0
         for n, W in _lengths(tup, fam, M):
             k = n - 1
-            base = 2 * W - eng.dmax(k)
+            base = _least_weight(eng, fam, n)
             if k:
                 # Fold in generation k-1.  Its kernel is supported on multiples
                 # of W_{k-1} only, so a handful of shifted adds beats a dense
@@ -694,9 +690,11 @@ class GrowthTable:
     Column ``ms`` holds the weights m in increasing order; ``first``,
     ``second``, ``power_first`` and ``power_second`` the counts of weight
     <= m, and ``totals`` their sums.  A dense table (every weight 1..M)
-    has ``ms = range(1, M + 1)`` and int64 ``array('q')`` count columns; a
-    checkpoint table has lists of Python ints, whose counts outgrow int64.
-    Treat the columns as read-only.
+    has ``ms = range(1, M + 1)`` and count columns that are ``memoryview``
+    views, format "q", of the int64 arrays the counts were summed in (no
+    copy; such a table cannot be pickled); a checkpoint table, and one read
+    from CSV, has lists of Python ints, whose counts outgrow int64.  Treat
+    the columns as read-only.
 
     ``rows`` views the columns as (m, first, second, power_first,
     power_second, total) tuples of plain ints.  ``GrowthTable(p,
@@ -777,8 +775,10 @@ class GrowthTable:
         return "".join(self._text("csv"))
 
     @classmethod
-    def from_csv(cls, text: str, p: int = 0, tuple_spec: str = "") -> "GrowthTable":
-        rd = csv.reader(io.StringIO(text))
+    def from_csv(cls, source, p: int = 0, tuple_spec: str = "") -> "GrowthTable":
+        """The table of CSV text, given as a ``str`` or as an open text file,
+        which is parsed line by line."""
+        rd = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
         header = next(rd, [])  # an empty file has no header
         if tuple(h.strip() for h in header) != _CSV_COLUMNS:
             raise ValueError("unrecognized growth table header")
@@ -806,24 +806,17 @@ TABLE_ROW_CAP = 200_000
 
 
 def _dense_columns(dense) -> list:
-    """Cumulative (first, second, power_first, power_second, total) int64
-    columns over weights 1..M of ``_dense_exact_rows`` counts, which this
-    consumes: each family sum is cumulated in place and copied out."""
-    # imported here: loading the array module adds about 0.15 MiB of RSS to
-    # commands that never build a dense table
-    from array import array
-
-    fams = list(_columns(dense))
+    """Cumulative (first, second, power_first, power_second, total) columns
+    over weights 1..M of ``_dense_exact_rows`` counts, which this consumes:
+    each family sum is cumulated in place, and each column is a view of its
+    int64 array as format "q", whose items are plain ints."""
+    fams = [arr[1:] for arr in _columns(dense)]
     dense.clear()
-    total = np.zeros(len(fams[0]) - 1, dtype=np.int64)
-    cols = []
-    while fams:
-        arr = fams.pop(0)[1:]
+    total = np.zeros_like(fams[0])
+    for arr in fams:
         np.cumsum(arr, out=arr)
         total += arr
-        cols.append(array("q", arr.tobytes()))
-    cols.append(array("q", total.tobytes()))
-    return cols
+    return [memoryview(arr).cast("B").cast("q") for arr in (*fams, total)]
 
 
 def growth_table(

@@ -646,6 +646,30 @@ def test_fit_from_csv(capsys, tmp_path):
     assert "beta" in out
 
 
+def test_fit_reads_the_file_line_by_line(capsys, tmp_path, monkeypatch, table_200k):
+    # the read keeps the table's columns; the file's text, whole or copied,
+    # would add about 4x its size
+    target = tmp_path / "t.csv"
+    target.write_text(table_200k.to_csv())
+    seen = []
+
+    def capture(table, level):
+        seen.append((table, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.stop()
+        return analytics.estimate_exponent(table, level)
+
+    monkeypatch.setattr(cli, "estimate_exponent", capture)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "fit", "--in", str(target), "--level", "gk")
+    finally:
+        tracemalloc.stop()
+    [(table, peak)] = seen
+    assert code == 0 and "beta" in out
+    assert peak < 4 * target.stat().st_size
+    assert table == GrowthTable.from_csv(target.read_text())
+
+
 def test_fit_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "fit", "--in", str(tmp_path / "nope.csv"))
     assert code == 2

@@ -253,8 +253,15 @@ def test_slack_base_is_the_least_weight():
         for fam in ("first", "second"):
             eng, least, seen = monomials._engine(tup, fam), 0, 0
             for n, W in monomials._lengths(tup, fam, 10**6):
-                least = monomials._least_weight(tup, fam, n, least)
-                assert 2 * W - eng.dmax(n - 1) == least, (tup, fam, n)
+                # reference: W_{n-1} + 1 (first), or the running sum
+                # 2 + sum_{i < n-1} (p^{S_i} - 1) W_i (second)
+                if fam == "first":
+                    least = W + 1
+                elif n == 1:
+                    least = 2
+                else:
+                    least += (tup.powers(n - 2)[0] - 1) * tup.pivot_weight(n - 2)
+                assert monomials._least_weight(eng, fam, n) == least, (tup, fam, n)
                 seen = n
             assert seen >= 2
 
@@ -281,7 +288,7 @@ def test_growth_table_takes_the_dense_path_on_large_boxes():
     M = 16385
     t = growth_table(tup, M)
     assert t.ms == range(1, M + 1)
-    assert all(col.typecode == "q" for col in (t.first, t.second, t.totals))
+    assert all(col.format == "q" for col in (t.first, t.second, t.totals))
     assert len(t.rows) == M
     for n in itertools.count():
         m = min(tup.pivot_weight(n), M)

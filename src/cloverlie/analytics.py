@@ -180,7 +180,8 @@ def gk_density_scan(
     exact ties keep grid order.  The gap statistic is an outward-rounded
     upper bound on the widest stretch of the target interval containing no
     exponent, so max_gap <= g certifies density at resolution g.  Refuses a
-    non-prime p and grids above SCAN_CELL_CAP cells.
+    non-prime p, grids above SCAN_CELL_CAP cells and an interval other than
+    a finite a < b.
     """
     if S_max < 1 or R_max < 1:
         raise ValueError("grid bounds must be >= 1")
@@ -191,8 +192,8 @@ def gk_density_scan(
             f"exceed cap {SCAN_CELL_CAP}"
         )
     a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
+    if not (a < b and math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("interval must satisfy a < b with finite ends")
 
     ctx = _exponent_context(p**S_max + p**R_max - 1)  # mu grows with S and R
     prec, log_p = ctx.prec, ctx.log(p)
@@ -278,7 +279,7 @@ def _qkappa_tail(tup: ParameterTuple, I: int) -> tuple[Fraction, int] | None:
     return None
 
 
-# Largest index I up to which _theta_partial searches for a tail certificate;
+# Largest index I up to which theta_bounds searches for a tail certificate;
 # kappa:4/5 at p = 2 is certified at I = 262,144.
 MAX_TAIL_INDEX = 1 << 19
 
@@ -291,32 +292,10 @@ def _product(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
-def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fraction, int]:
-    """(num, den, T, c): theta's partial product num/den through an index I >= target_index,
-    in lowest terms (den is a power of p), a certified T >= sum_{i>I} p^(1-S_i), T <= 1/2,
-    and a small c such that T's denominator is a power of p times a divisor of c.
-
-    I doubles from max(target_index, 8 or 3) until the tail is certified;
-    ValueError once it passes MAX_TAIL_INDEX."""
+def _theta_partial(tup: ParameterTuple, I: int) -> tuple[int, int]:
+    """(num, den): theta's partial product prod_{i<=I} (1 + p^(1-S_i)) in lowest
+    terms; den is a power of p."""
     p = tup.p
-    if tup.kind == "kappa":
-        tail_fn, base = _kappa_tail, 8
-    elif tup.kind == "qkappa":
-        tail_fn, base = _qkappa_tail, 3
-    else:
-        raise ValueError(
-            "certified tail bounds require a power-law or tower rule; "
-            f"got kind {tup.kind!r}"
-        )
-    I = max(base, target_index)
-    while I <= MAX_TAIL_INDEX:
-        found = tail_fn(tup, I)
-        if found is not None and found[0] <= Fraction(1, 2):
-            break
-        I *= 2
-    else:
-        raise ValueError(f"tail of rule {tup.spec} not certified up to index {MAX_TAIL_INDEX}")
-
     # prod (1 + p/p^S_i) = prod (p^S_i + p) / prod p^S_i, and p^S_i + p = p f_i with
     # f_i = p^(S_i - 1) + 1 prime to p unless f_i = p (p = 2, S_i = 1): dividing those
     # p's out leaves num/den in lowest terms, with no big gcd or division.  The S_i
@@ -325,7 +304,7 @@ def _theta_partial(tup: ParameterTuple, target_index: int) -> tuple[int, int, Fr
     f = {s: p ** (s - 1) + 1 for s in counts}
     e = sum((s - 1 - (f[s] == p)) * n for s, n in counts.items())
     num = _product([f[s] ** n for s, n in counts.items() if f[s] != p])
-    return num * p ** max(-e, 0), p ** max(e, 0), *found
+    return num * p ** max(-e, 0), p ** max(e, 0)
 
 
 # Fraction(num, den) for num and den > 0 already in lowest terms, without the
@@ -354,17 +333,35 @@ def theta_bounds(tup: ParameterTuple, target_index: int = 0) -> tuple[Fraction, 
 
     Returns (lo, hi) with lo <= product <= hi.  lo is the partial product
     through an index I >= target_index; the remaining factors are bounded
-    via sum_{i>I} p^(1-S_i) =: T <= 1, using 1 + x <= e^x and e^T <= 1+2T.
+    via sum_{i>I} p^(1-S_i) =: T <= 1/2, using 1 + x <= e^x and e^T <= 1+2T.
     Only rules whose S_i provably diverge (power-law and tower rules) admit
-    such a certificate.
+    such a certificate.  I doubles from max(target_index, 8 or 3) until the
+    tail is certified; ValueError once it passes MAX_TAIL_INDEX.
     """
-    num, den, tail, c = _theta_partial(tup, target_index)
-    p = tup.p
-    lo = _coprime_fraction(num, den)
-    # the factor's denominator divides the tail's, so c still covers the cofactor
+    if tup.kind == "kappa":
+        tail_fn, I = _kappa_tail, 8
+    elif tup.kind == "qkappa":
+        tail_fn, I = _qkappa_tail, 3
+    else:
+        raise ValueError(
+            "certified tail bounds require a power-law or tower rule; "
+            f"got kind {tup.kind!r}"
+        )
+    I = max(I, target_index)
+    while I <= MAX_TAIL_INDEX:
+        found = tail_fn(tup, I)
+        if found is not None and found[0] <= Fraction(1, 2):
+            break
+        I *= 2
+    else:
+        raise ValueError(f"tail of rule {tup.spec} not certified up to index {MAX_TAIL_INDEX}")
+    # T's denominator is a power of p times a divisor of c (see the tail
+    # functions), and so is the factor's: c still covers the cofactor
+    tail, c = found
+    lo = _coprime_fraction(*_theta_partial(tup, I))
     factor = 1 + 2 * tail
     hi = _lowest_terms(
-        lo.numerator * factor.numerator, lo.denominator * factor.denominator, p, c
+        lo.numerator * factor.numerator, lo.denominator * factor.denominator, tup.p, c
     )
     return lo, hi
 
@@ -468,8 +465,9 @@ def check_quasilinear_bounds(tup: ParameterTuple, table: GrowthTable) -> Verific
         below (p^2 + 2p + 2) * m * p^(2n) + n;
       * f1: second-family standard monomials of length n+1 and weight <= m
         number at most p^2 * m1 * m0 * p^(2n);
-      * lower: cumulative standard second-family count times a certified
-        rational lower bound for theta = prod (1 + p^(1-S_i)) is at least
+      * lower: cumulative standard second-family count times theta's
+        partial product through index n_last + 2 (a lower bound for theta =
+        prod (1 + p^(1-S_i)), as every factor exceeds 1) is at least
         (m1 - p + 1) * m0 * p^(2(n-1)) (trivially true when m1 < p).
 
     All three are exact integer / rational comparisons; rows with m < 2
@@ -485,7 +483,7 @@ def check_quasilinear_bounds(tup: ParameterTuple, table: GrowthTable) -> Verific
         return rep
     ns = _ladder_positions(tup, ms)
     # compared by cross-multiplying: a tower rule's partial product has millions of bits
-    theta_num, theta_den, _, _ = _theta_partial(tup, ns[-1] + 2)
+    theta_num, theta_den = _theta_partial(tup, ns[-1] + 2)
     for m, n, second, power_second in zip(
         ms, ns, table.second[start:], table.power_second[start:]
     ):
@@ -635,8 +633,9 @@ def estimate_exponent(table: GrowthTable, level) -> AsymptoticFit:
     if m_hi < 100 * min(weights):
         raise ValueError("window too small")
 
-    pts: list[tuple[float, float]] = []
-    window_ms: list[int] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    window = (0, 0)  # its first and last kept weight: the weights ascend
     for m, total in zip(weights, table.totals):
         if 10 * m < m_hi:
             continue
@@ -653,30 +652,30 @@ def estimate_exponent(table: GrowthTable, level) -> AsymptoticFit:
             if xin is None:
                 continue
             x, y = math.log(xin), math.log(total) - math.log(m)
-        pts.append((x, y))
-        window_ms.append(m)
+        xs.append(x)
+        ys.append(y)
+        window = (window[0] or m, m)
 
-    if len(pts) < 8:
+    n = len(xs)
+    if n < 8:
         raise ValueError("window too small")
-
-    n = len(pts)
-    mean_x = sum(x for x, _ in pts) / n
-    mean_y = sum(y for _, y in pts) / n
-    sxx = sum((x - mean_x) ** 2 for x, _ in pts)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pts)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     if sxx == 0:
         raise ValueError("window too small")
     beta = sxy / sxx
     intercept = mean_y - beta * mean_x
-    residuals = [y - (beta * x + intercept) for x, y in pts]
-    rms = math.sqrt(sum(r * r for r in residuals) / n)
+    for i, x in enumerate(xs):  # ys becomes the residuals
+        ys[i] -= beta * x + intercept
 
     return AsymptoticFit(
         level=lv,
         beta=beta,
         constant=math.exp(intercept),
-        window=(min(window_ms), max(window_ms)),
+        window=window,
         rows_used=n,
-        residual_rms=rms,
-        residual_max=max(abs(r) for r in residuals),
+        residual_rms=math.sqrt(sum(r * r for r in ys) / n),
+        residual_max=max(abs(r) for r in ys),
     )

@@ -1,9 +1,11 @@
 """Growth analytics: exponent formulas, density, sandwich bounds, fitting."""
 
+import collections
 import functools
 import hashlib
-import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloverlie import analytics
+from cloverlie import analytics, cli
 from cloverlie import (
     GrowthTable,
     ParameterTuple,
@@ -155,6 +157,8 @@ def test_density_scan_input_validation():
         gk_density_scan(2, 0, 3)
     with pytest.raises(ValueError):
         gk_density_scan(2, 3, 3, interval=(2.0, 1.0))
+    with pytest.raises(ValueError, match="finite ends"):
+        gk_density_scan(2, 3, 3, interval=(1.0, math.inf))
 
 
 # the last passes Miller-Rabin to the twelve prime bases through 37
@@ -371,10 +375,20 @@ def test_results_ignore_callers_mpmath_settings():
         mpmath.mp.prec, mpmath.iv.prec = saved
 
 
+def _certified_tail(tup, target_index):
+    """(I, T): the index theta_bounds takes its partial product through, and
+    its tail bound T >= sum_{i>I} p^(1-S_i)."""
+    tail_fn, I = (analytics._kappa_tail, 8) if tup.kind == "kappa" else (analytics._qkappa_tail, 3)
+    I = max(I, target_index)
+    while (found := tail_fn(tup, I)) is None or found[0] > Fraction(1, 2):
+        I *= 2
+    return I, found[0]
+
+
 def _plain_theta(tup, target_index):
     """theta_bounds as plain Fraction arithmetic: reduce num/den, then multiply."""
-    num, den, tail, _ = analytics._theta_partial(tup, target_index)
-    lo = Fraction(num, den)
+    I, tail = _certified_tail(tup, target_index)
+    lo = Fraction(*analytics._theta_partial(tup, I))
     return lo, lo * (1 + 2 * tail)
 
 
@@ -396,7 +410,7 @@ def test_theta_bounds_tower_rule_p3_takes_no_huge_gcd(monkeypatch):
     # the tail's denominator has about 750,000 bits here; Fraction reduction
     # of lo and lo * (1 + 2T) ran gcds of two such integers for about 23 s
     tup = ParameterTuple.qkappa(3, 1, 1)
-    num, den, _, _ = analytics._theta_partial(tup, 0)
+    num, den = analytics._theta_partial(tup, _certified_tail(tup, 0)[0])
     gcd, sizes = math.gcd, []
 
     def spy(*args):
@@ -440,11 +454,20 @@ def test_quasilinear_bounds_tower_rule_checkpoints():
     assert check_quasilinear_bounds(tup, t).passed
 
 
-@pytest.mark.parametrize("spec", ["kappa:1/2", "qkappa:1,1"])
-def test_quasilinear_lower_matches_theta_enclosure(spec):
-    # the suite compares against theta's partial product as an unreduced
-    # num/den; theta_bounds' reduced lower end is the reference
-    tup = ParameterTuple.from_spec(2, spec)
+_THETA_ENCLOSURE_CASES = [(2, "kappa:1/2"), (2, "qkappa:1,1"), (2, "qkappa:1,2")] + [
+    (p, f"kappa:{k}") for p in (2, 3) for k in ("1/3", "2/3", "3/4")
+]
+
+
+@pytest.mark.parametrize(
+    "p, spec",
+    _THETA_ENCLOSURE_CASES,
+    ids=[spec if p == 2 else f"{spec}-p{p}" for p, spec in _THETA_ENCLOSURE_CASES],
+)
+def test_quasilinear_lower_matches_theta_enclosure(p, spec):
+    # the suite compares against theta's partial product through n_last + 2;
+    # theta_bounds' lower end, through its certified index, is the reference
+    tup = ParameterTuple.from_spec(p, spec)
     weights = [2, 3, 10, 100, 1000, 10**6, 10**40]
     t = growth_table(tup, weights[-1], weights=weights)
     rep = check_quasilinear_bounds(tup, t)
@@ -458,6 +481,59 @@ def test_quasilinear_lower_matches_theta_enclosure(spec):
         target = (m // m0 - tup.p + 1) * m0 * tup.p ** (2 * (n - 1))
         ok = target <= 0 or Fraction(rows[m][2]) * theta_lo >= target
         assert r.status == ("pass" if ok else "fail")
+
+
+# (rule, p) pairs of the sweep below: power-law rules kappa:a/b with b <= 8
+# and tower rules, at p = 2, 3, 5, 7
+_SWEEP_CASES = [
+    (spec, p)
+    for spec in sorted({f"kappa:{Fraction(a, b)}" for b in range(2, 9) for a in range(1, b)})
+    + [f"qkappa:{q},{k}" for q in (1, 2) for k in ("1/3", "1/2", "1", "3/2", "2", "3")]
+    for p in (2, 3, 5, 7)
+]
+# pairs whose theta_bounds takes 0.5 to 50 s: it multiplies entries of
+# millions of bits (kappa:1/8 at p = 7 reaches S_8 = 9^7), or certifies
+# kappa:4/5 at index 2^18
+_SLOW_THETA_BOUNDS = {
+    *((spec, p) for spec in ("kappa:1/7", "kappa:1/8", "qkappa:1,1") for p in (3, 5, 7)),
+    ("kappa:4/5", 2), ("kappa:5/6", 5), ("qkappa:1,3/2", 5), ("qkappa:1,3/2", 7),
+}
+
+
+def test_quasilinear_sweep_matches_the_theta_bounds_reference(monkeypatch):
+    # the reference is the suite with theta_bounds' lower end (the partial
+    # product through its certified index) in place of the product through
+    # n_last + 2.  That lower end is at least as large, so where theta_bounds
+    # refuses or is slow, a report with no fail is one the reference matches.
+    rng = random.Random(30)
+    seen = collections.Counter()
+    for _ in range(60):
+        spec, p = rng.choice(_SWEEP_CASES)
+        cap = int(10 ** rng.uniform(0.31, 200))
+        tup = ParameterTuple.from_spec(p, spec)
+        try:
+            weights = cli._quasilinear_checkpoints(tup, cap)
+            table = growth_table(tup, cap, weights=weights)
+            rep = check_quasilinear_bounds(tup, table)
+        except TupleRuleError as exc:
+            assert str(exc) == "tuple entry too large to materialize"
+            seen["refused"] += 1
+            continue
+        n_last = max(dict(r.params)["n"] for r in rep.records)
+        try:
+            lo = None if (spec, p) in _SLOW_THETA_BOUNDS else theta_bounds(tup, n_last + 2)[0]
+        except ValueError:  # the tail is not certified, or an entry is too large
+            lo = None
+        if lo is None:
+            assert rep.counts()["fail"] == 0
+            seen["no fail"] += 1
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(analytics, "_theta_partial", lambda tup, I: (lo.numerator, lo.denominator))
+            want = check_quasilinear_bounds(tup, table).to_json_lines()
+        assert rep.to_json_lines() == want
+        seen["same"] += 1
+    assert seen["same"] >= 20 and seen["no fail"] >= 5
 
 
 def test_quasilinear_tower_rule_p3_reduces_no_huge_fraction(monkeypatch):
@@ -532,6 +608,21 @@ def test_fit_scale_invariance():
         assert abs(base.beta - resc.beta) < 1e-9
 
 
+def test_fit_keeps_two_floats_per_row():
+    # the fit keeps its x and y columns and nothing else per row: about 64
+    # bytes a row, where a tuple per point plus weight and residual lists
+    # took about 180
+    t = growth_table(TUP2, 50_000)
+    tracemalloc.start()
+    try:
+        fit = estimate_exponent(t, level="gk")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.rows_used == 45_001 and fit.window == (5_000, 50_000)
+    assert peak < 80 * fit.rows_used
+
+
 def test_fit_window_guards():
     small = growth_table(TUP2, 6)
     with pytest.raises(ValueError, match="window too small"):
@@ -578,8 +669,8 @@ def test_tower_tail_certified_for_slow_towers(kappa):
     # the increment ratio p^(2/kappa) is at most 2 here, and the rule's
     # entries still rise by at least 1 from some index on, as certified
     tup = ParameterTuple.qkappa(2, 1, kappa)
-    num, den, tail, _ = analytics._theta_partial(tup, 0)
-    assert 0 < tail <= Fraction(1, 2)
+    lo, hi = theta_bounds(tup)
+    assert lo < hi <= 2 * lo  # hi = lo * (1 + 2T) with 0 < T <= 1/2
     S = [s for s, _ in tup.pairs(12)]
     assert all(b > a for a, b in zip(S[4:], S[5:]))
 
@@ -604,26 +695,26 @@ def test_theta_bounds_of_a_long_partial_product_in_lowest_terms():
     num = analytics._product([2**s + 2 for s in S])
     assert lo.numerator << sum(S) == num * lo.denominator
     assert 1 < lo < hi
+    assert analytics._product([]) == 1 and analytics._product([7]) == 7
 
 
 def test_tail_search_stops_at_its_index_bound():
+    tup = ParameterTuple.kappa(2, "1/2")
     with pytest.raises(ValueError, match="not certified up to index"):
-        analytics._theta_partial(ParameterTuple.kappa(2, "1/2"), analytics.MAX_TAIL_INDEX + 1)
+        theta_bounds(tup, analytics.MAX_TAIL_INDEX + 1)
+    assert tup.materialized_length == 0
 
 
 def test_partial_product_equals_the_factor_by_factor_product():
-    tup = ParameterTuple.kappa(3, "2/3")
-    num, den, _, _ = analytics._theta_partial(tup, 100)
-    ref_num = ref_den = 1
-    for i in itertools.count():
-        S = tup.materialize(i)[0]
-        ref_num, ref_den = ref_num * (3**S + 3), ref_den * 3**S
-        if ref_num * den >= num * ref_den:  # the partial products increase
-            break
-    assert i >= 100 and ref_num * den == num * ref_den
-    # in lowest terms: den is a power of 3 and num is prime to 3
-    assert num % 3 and 3 ** round(math.log(den, 3)) == den
-    assert analytics._product([]) == 1 and analytics._product([7]) == 7
+    # exactly through the index asked for: no tail search, no index bound
+    for p, spec, I in [(3, "kappa:2/3", 100), (2, "kappa:9/10", 100), (2, "qkappa:1,1", 5)]:
+        tup = ParameterTuple.from_spec(p, spec)
+        num, den = analytics._theta_partial(tup, I)
+        ref = Fraction(1)
+        for S, _ in tup.pairs(I + 1):
+            ref *= 1 + Fraction(p, p**S)
+        assert (num, den) == (ref.numerator, ref.denominator)  # in lowest terms
+        assert tup.materialized_length == I + 1
 
 
 def test_exponent_range_check_catches_a_wrong_period(monkeypatch):

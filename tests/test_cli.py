@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -322,6 +323,13 @@ def test_gk_scan_refuses_malformed_interval(capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: interval must look like 1.1,2.9; got '1.1'"]
+
+
+def test_gk_scan_refuses_an_infinite_interval_end(capsys):
+    code, out, err = run(
+        capsys, "gk", "--scan", "--p", "2", "--max", "4", "--interval", "1,inf"
+    )
+    assert (code, out, err) == (2, "", "error: interval must satisfy a < b with finite ends\n")
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +778,19 @@ def test_unknown_subcommand(capsys):
     assert code == 2
 
 
+def test_module_entry_point_exits_with_mains_code(capsys, monkeypatch):
+    # what `python -m cloverlie.cli` runs, in this process; the module is
+    # already imported, so runpy warns before it runs it again as __main__
+    argv = ["gk", "--p", "4", "--S", "1", "--R", "1"]
+    monkeypatch.setattr(sys, "argv", ["cloverlie", *argv])
+    with pytest.warns(RuntimeWarning, match="'cloverlie.cli' found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("cloverlie.cli", run_name="__main__")
+    err = capsys.readouterr().err
+    assert exc.value.code == main(argv) == 2
+    assert err == capsys.readouterr().err == "error: p must be prime, got 4\n"
+
+
 def test_readme_command_lines_parse():
     # every example of README's "Command line" block parses; none is run
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -807,24 +828,31 @@ def test_gk_range_check_failure_is_an_internal_check(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec", ["kappa:3/4", "kappa:4/5", "qkappa:1,2", "qkappa:1,5/2", "qkappa:1,3"]
+    "spec",
+    ["kappa:3/4", "kappa:4/5", "kappa:5/6", "kappa:9/10"]
+    + ["qkappa:1,1/2", "qkappa:1,2", "qkappa:1,5/2", "qkappa:1,3"],
 )
 def test_bounds_certifies_slowly_growing_tails(capsys, spec):
-    # kappa:3/4 is certified at tail index 4,096 (its ratio test fails at 8
-    # and 16), kappa:4/5 at 262,144; the tower rules with kappa >= 2 at p = 2
-    # from the increments' growth (analytics._qkappa_tail)
-    weight = "100" if spec.startswith("kappa") else "1000"
+    # theta_bounds certifies some of these tails (kappa:3/4 at index 4,096,
+    # kappa:4/5 at 262,144, the towers with kappa >= 2 from the increments'
+    # growth) and refuses the others; bounds reads only theta's partial
+    # product through n_last + 2, so it passes them all
+    weight = "100" if spec.startswith("kappa") else "100000"
     code, out, err = run(capsys, "bounds", "--p", "2", "--tuple", spec, "--max-weight", weight)
     assert (code, err) == (0, "")
     assert re.fullmatch(r"suite quasilinear-bounds: \d+ pass, 0 fail, 0 outside trusted zone\n", out)
 
 
-def test_bounds_refuses_a_tail_past_the_index_bound(capsys):
-    code, out, err = run(
-        capsys, "bounds", "--p", "2", "--tuple", "kappa:9/10", "--max-weight", "100"
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: tail of rule kappa:9/10 not certified up to index 524288\n"
+def test_bounds_materializes_only_the_entries_its_checks_read(capsys, monkeypatch):
+    seen = []
+
+    def spy(tup, table):
+        seen.append(tup)
+        return analytics.check_quasilinear_bounds(tup, table)
+
+    monkeypatch.setattr(cli, "check_quasilinear_bounds", spy)
+    code, _, _ = run(capsys, "bounds", "--p", "2", "--tuple", "kappa:4/5", "--max-weight", "100")
+    assert code == 0 and seen[0].materialized_length < 100
 
 
 def test_bounds_below_weight_two_checks_nothing(capsys):

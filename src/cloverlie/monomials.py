@@ -26,9 +26,12 @@ every variable of generation i contributes weight W_i per unit exponent, a
 head cell of generation n-1 weighs (sum + 2) W_{n-1}, and tail exponents are
 deficiencies subtracted from the head weight.  Counting descriptors of weight
 at most m never materializes operators: it is exact big-integer lattice-point
-counting (closed-form box sums plus a memoized digit recursion over the
-mixed-radix ladder, run only on the lengths a weight cuts; the lengths it
-saturates come from a prefix table of closed-form totals).  The memo and
+counting by one step, ``_TailEngine.fold``, which sums cells counted by
+exponent sum (closed-form box sums) against the tails under them counted by
+slack, dmax minus deficiency.  A head is one fold; each tail generation is the
+same fold, one frame per generation, memoized by (generations, slack).  It
+runs only on the lengths a weight cuts; the lengths it saturates come from a
+prefix table of closed-form totals.  The memo and
 the tables belong to one engine per (tuple, column); engines are held in a
 bounded least-recently-used cache, so calls share them without unbounded
 growth.  A table of every weight 1..M has one path for every rule: a numpy
@@ -261,8 +264,9 @@ def _tail_caps(tup: ParameterTuple, family: str, i: int) -> tuple[int, ...]:
 
 
 class _TailEngine:
-    """Exact big-integer counting of tail deficiency sums for one family,
-    and the length tables of the families in its column (``saturated``)."""
+    """Exact big-integer counting of cells over tails for one family
+    (``fold``), and the length tables of the families in its column
+    (``saturated``)."""
 
     def __init__(self, tup: ParameterTuple, family: str):
         assert family in ("first", "second")
@@ -297,47 +301,39 @@ class _TailEngine:
         self._extend(k)
         return self._dmax[k]
 
-    def ker_prefix(self, i: int, s: int) -> int:
-        """Tail cells of generation i with exponent sum <= s (i below the
-        extended length)."""
-        return _box_prefix(s, self._sides[i])
+    def fold(self, k: int, t: int, W: int, top: int, prefix) -> int:
+        """Pairs (cell, tail over generations 0..k-1) with s·W + σ <= t, for
+        t >= 0 and the engine extended to k: s is the cell's exponent sum,
+        prefix(s) counts the cells with sum <= s (s = 0..top), and σ is the
+        tail's slack dmax(k) − D (D: deficiency).
 
-    def ker_point(self, i: int, s: int) -> int:
-        return self.ker_prefix(i, s) - self.ker_prefix(i, s - 1)
-
-    def below(self, k: int, t: int) -> int:
-        """Number of tails over generations 0..k-1 with deficiency <= t,
-        for k >= 1 and 0 <= t < dmax(k).
-
-        Outside that range the count is 0 (t < 0) or every tail (k = 0 or
-        t >= dmax(k)); ``at_least`` and the recursion below never ask there.
+        A tail cell's box is symmetric under e ↔ cap − e, so tails counted by
+        slack are those counted by deficiency.  Sums s with s·W + dmax(k) <= t
+        keep every tail; each larger sum s <= t // W asks for the tails with
+        slack u = t − s·W or less (0 <= u < dmax(k)), memoized as (k, u), which
+        are generation k-1's cells over generations 0..k-2: the same fold, one
+        frame per generation.
         """
-        self._extend(k)
-        key = (k, t)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        W = self.tup.pivot_weight(k - 1)
-        cap = self._caps[k - 1]
-        d = min(t // W, cap)
-        inner_dmax = self._dmax[k - 1]
-        # digits small enough that the remaining budget saturates completely
-        s_sat = min((t - inner_dmax) // W if t >= inner_dmax else -1, d)
-        acc = 0
-        if s_sat >= 0:
-            acc = self.ker_prefix(k - 1, s_sat) * self._totals[k - 1]
-        for s in range(s_sat + 1, d + 1):
-            c = self.ker_point(k - 1, s)
+        dmax = self._dmax[k]
+        s_cut = min(t // W, top)
+        s_full = min((t - dmax) // W, s_cut)
+        acc = prefix(s_full) * self._totals[k] if s_full >= 0 else 0
+        for s in range(max(s_full + 1, 0), s_cut + 1):
+            c = prefix(s) - prefix(s - 1)
             if c:
-                acc += c * self.below(k - 1, t - s * W)
-        self._memo[key] = acc
+                u = t - s * W
+                count = self._memo.get((k, u))
+                if count is None:
+                    sides = self._sides[k - 1]
+                    count = self._memo[k, u] = self.fold(
+                        k - 1,
+                        u,
+                        self.tup.pivot_weight(k - 1),
+                        self._caps[k - 1],
+                        lambda v: _box_prefix(v, sides),
+                    )
+                acc += c * count
         return acc
-
-    def at_least(self, k: int, req: int) -> int:
-        """Number of tails over generations 0..k-1 with deficiency >= req,
-        for k >= 1 and 1 <= req <= dmax(k): ``_count_headed`` asks only for
-        head sums whose tails are neither all kept nor all dropped."""
-        return self.total(k) - self.below(k, req - 1)
 
     def saturated(self, family: str, m: int) -> tuple[int, int, int]:
         """(n0, n1, count): at weight m, lengths 1..n0 of ``family`` are saturated
@@ -447,26 +443,13 @@ def _power_weights(tup: ParameterTuple, family: str, n: int, m: int) -> list[int
 
 def _count_headed(eng: _TailEngine, n: int, m: int) -> int:
     """Length-n descriptors of the engine's family with weight <= m (n >= 1)."""
-    if m < 1:
+    # a head of sum s over a tail of slack σ weighs _least_weight + s·W_{n-1} + σ
+    if m < 1 or (t := m - _least_weight(eng, eng.family, n)) < 0:
         return 0
-    tup, family = eng.tup, eng.family
-    k = n - 1
-    W = tup.pivot_weight(k)
-    dmax = eng.dmax(k)
-    total = eng.total(k)
-    P, Q = _head_box(tup, family, n)
-    smax = (P - 1) + (Q - 1)
-    # head sums s <= s_full keep every tail; s > s_cut keep none
-    s_full = min(m // W - 2, smax)
-    s_cut = min((m + dmax) // W - 2, smax)
-    acc = 0
-    if s_full >= 0:
-        acc = _head_count(family, P, Q, s_full) * total
-    for s in range(max(s_full + 1, 0), s_cut + 1):
-        c = _head_count(family, P, Q, s) - _head_count(family, P, Q, s - 1)
-        if c:
-            acc += c * eng.at_least(k, (s + 2) * W - m)
-    return acc
+    P, Q = _head_box(eng.tup, eng.family, n)
+    return eng.fold(
+        n - 1, t, eng.tup.pivot_weight(n - 1), P + Q - 2, lambda s: _head_count(eng.family, P, Q, s)
+    )
 
 
 def count_descriptors(
@@ -486,6 +469,8 @@ def count_descriptors(
     """
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    if length is not None and length < 0:
+        raise ValueError("length must be >= 0")
     fams = FAMILIES if family is None else (family,)
     for f in fams:
         if f not in FAMILIES:
@@ -603,11 +588,11 @@ def _dense_exact_rows(tup: ParameterTuple, M: int) -> dict:
                 # Fold in generation k-1.  Its kernel is supported on multiples
                 # of W_{k-1} only, so a handful of shifted adds beats a dense
                 # convolution.
-                Wk = tup.pivot_weight(k - 1)
+                Wk, sides = tup.pivot_weight(k - 1), eng._sides[k - 1]
                 cut = min(eng.dmax(k), M - base) + 1
                 prev, dist = dist, np.zeros(cut, dtype=np.int64)
                 for s in range(min(eng._caps[k - 1], (cut - 1) // Wk) + 1):
-                    c = eng.ker_point(k - 1, s)
+                    c = _box_prefix(s, sides) - _box_prefix(s - 1, sides)
                     dist[s * Wk : s * Wk + len(prev)] += c * prev[: cut - s * Wk]
             P, Q = _head_box(tup, fam, n)
             for s in range(min(P + Q - 2, (M - base) // W) + 1):

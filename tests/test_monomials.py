@@ -356,25 +356,28 @@ def _outcome(fn, *args):
 
 @contextlib.contextmanager
 def _checked_tail_engine():
-    """Fresh engines whose ``below`` and ``at_least`` assert their
-    preconditions on every call; yields the number of calls of each."""
-    below, at_least = monomials._TailEngine.below, monomials._TailEngine.at_least
-    calls = {"below": 0, "at_least": 0}
+    """Fresh engines whose ``fold`` asserts its preconditions on every call;
+    yields the number of head folds (called from outside ``fold``) and of
+    tail folds (called by ``fold`` itself)."""
+    fold = monomials._TailEngine.fold
+    calls = {"head": 0, "tail": 0}
+    depth = [0]
 
-    def checked_below(self, k, t):
-        assert k >= 1 and 0 <= t < self.dmax(k), ("below", k, t)
-        calls["below"] += 1
-        return below(self, k, t)
-
-    def checked_at_least(self, k, req):
-        assert k >= 1 and 1 <= req <= self.dmax(k), ("at_least", k, req)
-        calls["at_least"] += 1
-        return at_least(self, k, req)
+    def checked_fold(self, k, t, W, top, prefix):
+        assert t >= 0 and top >= 0 and 0 <= k < len(self._dmax), ("fold", k, t, top)
+        if depth[0]:
+            # the cells of generation k over tails with slack u = t: u < dmax(k + 1)
+            assert t < self._dmax[k + 1], ("tail fold", k, t)
+        calls["tail" if depth[0] else "head"] += 1
+        depth[0] += 1
+        try:
+            return fold(self, k, t, W, top, prefix)
+        finally:
+            depth[0] -= 1
 
     monomials._engine.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monomials._TailEngine, "below", checked_below)
-        mp.setattr(monomials._TailEngine, "at_least", checked_at_least)
+        mp.setattr(monomials._TailEngine, "fold", checked_fold)
         yield calls
 
 
@@ -386,8 +389,9 @@ def _checked_tail_engine():
     length=st.none() | st.integers(0, 7),
 )
 def test_tail_engine_asked_only_inside_its_preconditions(p, pairs, m, length):
-    # the tail counts are defined only for k >= 1, 0 <= t < dmax(k) and
-    # 1 <= req <= dmax(k); every call the counting core makes stays there
+    # a fold is defined only for t >= 0, top >= 0 and an engine extended to
+    # k, and a tail fold only below dmax; every call the counting core makes
+    # stays there
     tup = ParameterTuple.explicit(p, pairs)
     monomials._engine.cache_clear()
     expect = _outcome(count_descriptors, tup, m, None, length)
@@ -396,10 +400,18 @@ def test_tail_engine_asked_only_inside_its_preconditions(p, pairs, m, length):
 
 
 def test_tail_engine_precondition_check_sees_calls():
-    # the property above is not vacuous: a count that cuts tails asks both
+    # the property above is not vacuous: a count that cuts tails makes both
     with _checked_tail_engine() as calls:
         assert sum(count_descriptors(TUP2, 9).values()) == 53
-    assert calls["below"] and calls["at_least"]
+    assert calls["head"] and calls["tail"]
+
+
+def test_fold_reaches_hundreds_of_generations():
+    # 10^300 cuts tails about 629 generations deep on constant:1,1 at p = 2; a
+    # fold of one frame per generation stays under the default recursion limit
+    monomials._engine.cache_clear()
+    got = count_descriptors(ParameterTuple.constant(2, 1, 1), 10**300)
+    assert got["second"] % 10**12 == 534371144851
 
 
 def test_prefix_table_matches_per_length_sum():
@@ -809,8 +821,14 @@ def test_counting_guards():
     ):
         with pytest.raises(ValueError, match="unknown family 'bogus'"):
             call()
-    with pytest.raises(ValueError, match="length must be >= 0"):
-        family_totals(TUP2, -1)
+    for call in (
+        lambda: family_totals(TUP2, -1),
+        lambda: count_descriptors(TUP2, 0, family="first", length=-1),
+        lambda: count_descriptors(TUP2, 5, family="first", length=-1),
+        lambda: count_descriptors(TUP2, 5, length=-1),
+    ):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            call()
     # no descriptor weighs below 1, at any length
     assert count_descriptors(TUP2, 0) == dict.fromkeys(FAMILIES, 0)
     assert count_descriptors(TUP2, 0, family="first", length=1) == 0
